@@ -3,18 +3,15 @@ algebras, plus the lattice machinery behind them."""
 
 from .chain import (
     ChainTrace,
-    DenseCertificate,
     DensityVerdict,
     annihilator_step_neg,
     annihilator_step_pos,
     compute_chain,
     decide_density,
-    shortest_vector,
     step_neg,
     step_pos,
 )
 from .errors import (
-    BudgetExceeded,
     ConsistencyError,
     DimensionMismatch,
     NonPositiveDiagonal,

@@ -1,36 +1,32 @@
-"""Subgroup chains on the torus and the three-valued density decision.
+"""Subgroup chains on the torus and the exact density decision.
 
 For endomorphisms given by integer matrices F and G, the forward chain
 starts at Z^d and repeatedly takes the G-preimage of the F-image; the
 backward chain swaps the roles. The group the two chains generate is dense
 in the torus exactly when the annihilators of the level joins shrink to
-nothing, so the decision runs on the dual side:
+nothing. `compute_chain` builds the levels; `decide_density` settles the
+limit by algebra, with no depth or search budget:
 
-* the annihilator chain stabilizing at a fixed point certifies NotDense
-  with the fixed lattice's shortest vector as witness;
-* a character m survives level n of the forward chain exactly when the
-  orbit m, F^T G^{-T} m, ... stays integral for n steps (and mirrored for
-  the backward chain), so bounded characters are eliminated or convicted
-  by following both orbits with cycle detection;
-* when the annihilator indices grow strictly and the deepest annihilator
-  has no nonzero vector inside the search box, no witness up to the norm
-  bound exists and the verdict is Dense with that finite certificate.
-
-Anything that exhausts a budget degrades to Unknown, never to a wrong
-verdict.
+* a character m annihilates every forward level exactly when y = G^{-T} m
+  is integral and D^k y stays integral for every k, where D = (F G^{-1})^T;
+* those y span the generalised eigenspaces of D for the irreducible factors
+  of its characteristic polynomial that are monic over Z (Gauss's lemma,
+  and Z[D] is a finitely generated Z-module on that subspace), so the
+  forward obstruction space is G^T times that sum;
+* the backward chain is the same with F and G swapped, and the subgroup is
+  dense exactly when the two obstruction spaces meet only in 0; otherwise
+  a scaled vector of the intersection is a witness character lying in
+  every annihilator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+import math
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
-from .errors import (
-    BudgetExceeded,
-    ConsistencyError,
-    DimensionMismatch,
-    SingularMatrix,
-)
+from . import poly
+from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from .intmat import IntMatrix, adjugate, det
 from .lattice import (
     IntegerSublattice,
@@ -46,17 +42,9 @@ from .lattice import (
 )
 
 DEFAULT_MAX_DEPTH = 24
-DEFAULT_NORM_BOUND = 10_000
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
-UNKNOWN = "Unknown"
-
-# enumeration and orbit guards; exhaustion always degrades to Unknown
-_EARLY_BOX_NODES = 200_000
-_FINAL_BOX_NODES = 400_000
-_MAX_CANDIDATES = 50_000
-_ORBIT_STEP_BUDGET = 4_096
 
 
 @dataclass
@@ -74,23 +62,10 @@ class ChainTrace:
 
 
 @dataclass
-class DenseCertificate:
-    """Finite evidence for a Dense verdict at the recorded depth."""
-
-    depth: int
-    norm_bound: int
-    shortest_vector_exceeds: int
-
-
-@dataclass
 class DensityVerdict:
     status: str
     witness: Optional[tuple[int, ...]]
-    depth_used: int
-    annihilator_at_depth: IntegerSublattice
-    certificate: Optional[DenseCertificate] = None
-    reason: str = ""
-    trace: Optional[ChainTrace] = field(default=None, repr=False)
+    reason: str
 
 
 def _check_pair(f: IntMatrix, g: IntMatrix) -> None:
@@ -165,288 +140,131 @@ def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
     return trace
 
 
-def _box_vectors(
-    basis: IntMatrix, bound: int, node_budget: int
-) -> Iterator[tuple[int, ...]]:
-    """All nonzero lattice vectors with sup norm <= bound.
+class _Side(NamedTuple):
+    """One chain's elimination data: D = a / c and G^{-T} = adj_t / c."""
 
-    Walks coefficient space against the upper-triangular HNF basis, bounding
-    each coordinate as soon as its coefficient is fixed. Raises
-    BudgetExceeded after node_budget interval iterations.
+    a: IntMatrix
+    adj_t: IntMatrix
+    c: int
+
+
+def _side(f: IntMatrix, g: IntMatrix) -> _Side:
+    adj_t = adjugate(g).transpose()
+    return _Side(adj_t @ f.transpose(), adj_t, det(g))
+
+
+def _evaluate(p: list[int], a: IntMatrix) -> IntMatrix:
+    """p(a) by Horner's rule."""
+    acc = IntMatrix.scalar(a.dim, p[0])
+    for coeff in p[1:]:
+        acc = IntMatrix(
+            [[x + coeff * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate((acc @ a).rows)]
+        )
+    return acc
+
+
+def _obstruction_equations(side: _Side) -> Optional[IntMatrix]:
+    """N whose kernel is the chain's obstruction space, or None if it is 0.
+
+    A factor x^k + a_1 x^(k-1) + ... + a_k of the characteristic polynomial
+    of a = c D is c^k times a factor of that of D, which is monic over Z
+    exactly when c^i divides every a_i. With M the product of those factors
+    of a, raised to their multiplicities and evaluated at a, the space is
+    G^T ker M = ker M adj(G)^T.
     """
-    d = basis.dim
-    rows = basis.rows
-    nodes = 0
-    partial = [[0] * d for _ in range(d + 1)]
-
-    def rec(level: int) -> Iterator[tuple[int, ...]]:
-        nonlocal nodes
-        if level == d:
-            vec = tuple(partial[d])
-            if any(vec):
-                yield vec
-            return
-        piv = rows[level][level]
-        base = partial[level][level]
-        lo = -((bound + base) // piv)
-        hi = (bound - base) // piv
-        for c in range(lo, hi + 1):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded("lattice box enumeration budget exhausted")
-            nxt = partial[level + 1]
-            for j in range(d):
-                nxt[j] = partial[level][j] + c * rows[level][j]
-            if abs(nxt[level]) > bound:
-                continue
-            yield from rec(level + 1)
-
-    yield from rec(0)
+    m = None
+    for p, mult in poly.factor(poly.charpoly(side.a))[1]:
+        if all(x % side.c**i == 0 for i, x in enumerate(p)):
+            pa = _evaluate(p, side.a)
+            for _ in range(mult):
+                m = pa if m is None else m @ pa
+    return None if m is None else m @ side.adj_t
 
 
-def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
-    for x in v:
-        if x != 0:
-            return v if x > 0 else tuple(-y for y in v)
-    return v
+def _echelon(rows: list[list[int]]) -> list[list[int]]:
+    """Rows of the reduced row echelon form, each scaled to a primitive
+    integer vector with a positive pivot."""
+    m = [list(r) for r in rows]
+    r = 0
+    for col in range(len(m[0])):
+        k = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        piv = m[r]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = poly.primitive(
+                    [piv[col] * x - m[i][col] * y for x, y in zip(m[i], piv)]
+                )
+        r += 1
+    return [poly.primitive(row) for row in m[:r]]
 
 
-def _vector_key(v: tuple[int, ...]):
-    av = [abs(x) for x in v]
-    return (max(av), sum(av), tuple(reversed(av)), tuple(reversed(v)))
+def _kernel(rows: list[list[int]]) -> list[list[int]]:
+    """Integer basis of the rational kernel {x : rows x = 0}."""
+    ech = _echelon(rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
+    scale = math.lcm(*(row[p] for row, p in zip(ech, pivots)))
+    basis = []
+    for free in range(len(rows[0])):
+        if free in pivots:
+            continue
+        x = [0] * len(rows[0])
+        x[free] = scale
+        for row, p in zip(ech, pivots):
+            x[p] = -row[free] * (scale // row[p])
+        basis.append(x)
+    return basis
 
 
-def shortest_vector(
-    m: IntegerSublattice, node_budget: int = _FINAL_BOX_NODES
-) -> tuple[int, ...]:
-    """A shortest nonzero vector in sup norm, sign-normalized.
-
-    Exhaustive inside the box spanned by the smallest basis row; if the
-    enumeration budget blows, the smallest basis row itself is returned
-    (still a valid annihilating witness, possibly not minimal).
-    """
-    best = min(m.basis.rows, key=_vector_key)
-    try:
-        for v in _box_vectors(m.basis, max(abs(x) for x in best), node_budget):
-            if _vector_key(v) < _vector_key(best):
-                best = v
-    except BudgetExceeded:
-        pass
-    return _canonical_sign(tuple(best))
+def _orbit_denominator(side: _Side, v, steps: int) -> int:
+    """lcm of the denominators of D^j G^{-T} v for 0 <= j < steps."""
+    num, den, e = side.adj_t.apply(v), side.c, 1
+    for _ in range(steps):
+        g = math.gcd(den, *num)
+        num, den = [x // g for x in num], den // g
+        e = math.lcm(e, den)
+        num, den = side.a.apply(num), den * side.c
+    return e
 
 
-def _box_empty(m: IntegerSublattice, bound: int, node_budget: int) -> Optional[bool]:
-    """True if no nonzero vector of M has sup norm <= bound; None on budget."""
-    try:
-        for _ in _box_vectors(m.basis, bound, node_budget):
-            return False
-        return True
-    except BudgetExceeded:
-        return None
+def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
+    """Decide whether the subgroup the two chains generate is dense.
 
-
-def _collect_candidates(
-    m: IntegerSublattice, bound: int, node_budget: int
-) -> Optional[list[tuple[int, ...]]]:
-    out = []
-    try:
-        for v in _box_vectors(m.basis, bound, node_budget):
-            out.append(v)
-            if len(out) > _MAX_CANDIDATES:
-                return None
-    except BudgetExceeded:
-        return None
-    out.sort(key=_vector_key)
-    return out
-
-
-class _OrbitMap:
-    """x -> A^T (B^{-T} x) on integer vectors, or None off the integral locus."""
-
-    def __init__(self, a: IntMatrix, b: IntMatrix):
-        self.a_t = a.transpose()
-        self.b_adj_t = adjugate(b.transpose())
-        self.b_det = det(b)
-
-    def __call__(self, x: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        y = []
-        for row in self.b_adj_t.rows:
-            s = sum(p * q for p, q in zip(row, x))
-            if s % self.b_det:
-                return None
-            y.append(s // self.b_det)
-        return self.a_t.apply(y)
-
-
-_EXITS = "exits"
-_CYCLES = "cycles"
-_INCONCLUSIVE = "inconclusive"
-
-
-def _follow_orbit(m0: tuple[int, ...], step, norm_cap: int) -> str:
-    seen = set()
-    x = m0
-    while True:
-        if x in seen:
-            return _CYCLES
-        seen.add(x)
-        if len(seen) > _ORBIT_STEP_BUDGET:
-            return _INCONCLUSIVE
-        nxt = step(x)
-        if nxt is None:
-            return _EXITS
-        if max(abs(c) for c in nxt) > norm_cap:
-            return _INCONCLUSIVE
-        x = nxt
-
-
-def decide_density(
-    f: IntMatrix,
-    g: IntMatrix,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    norm_bound: int = DEFAULT_NORM_BOUND,
-) -> DensityVerdict:
-    """Decide whether the generated subgroup is dense in the torus.
-
-    Phase 1 watches for the join chain stabilizing: equality at consecutive
-    levels plus invariance of the stabilized lattice under one more
-    application of each one-sided step pins the chain forever, which is a
-    NotDense certificate. The same test runs on the annihilator side and
-    the two must agree.
-
-    Phase 2 enumerates the characters of the deepest annihilator inside the
-    norm box and follows both elimination orbits per character; cycles on
-    both sides convict a witness, while a certifiably empty box together
-    with strictly growing annihilator indices certifies Dense up to the
-    norm bound.
-
-    Phase 3 is Unknown. Budget exhaustion lands here too.
+    Dense when the forward and backward obstruction spaces meet only in 0.
+    Otherwise v, the first row of the reduced echelon form of their
+    intersection made primitive, is scaled by the lcm e of the denominators
+    of D^j G^{-T} v and D'^j F^{-T} v for j < d, with D' = (G F^{-1})^T.
+    On the obstruction space D satisfies a monic integer polynomial of
+    degree at most d (Cayley-Hamilton), so e v stays integral at every
+    step and lies in every annihilator; it is re-checked at step d.
     """
     _check_pair(f, g)
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    if norm_bound < 1:
-        raise ValueError("norm_bound must be at least 1")
-
     d = f.dim
-    trace = _new_trace(f, g)
-    strictly_increasing = True
-    early_checks = True
-    for j in range(1, max_depth + 1):
-        _extend(trace)
-        lam = trace.joins[j]
-        ann = trace.annihilators[j]
-        if lam == trace.joins[j - 1]:
-            strictly_increasing = False
-            primal_fixed = (
-                step_pos(f, g, lam) == lam and step_neg(f, g, lam) == lam
-            )
-            dual_fixed = (
-                annihilator_step_pos(f, g, ann) == ann
-                and annihilator_step_neg(f, g, ann) == ann
-            )
-            if primal_fixed != dual_fixed:
-                raise ConsistencyError(
-                    "primal and dual stabilization tests disagree"
-                )
-            if primal_fixed:
-                return DensityVerdict(
-                    NOT_DENSE,
-                    witness=shortest_vector(ann),
-                    depth_used=j,
-                    annihilator_at_depth=ann,
-                    reason="join chain stabilized at a finite subgroup",
-                    trace=trace,
-                )
-        elif trace.indices[j] <= trace.indices[j - 1]:
-            strictly_increasing = False
-        # early Dense certificate; the index guard is Minkowski's bound for
-        # the sup-norm cube, below which the box cannot be empty
-        if (
-            strictly_increasing
-            and early_checks
-            and j < max_depth
-            and trace.indices[j] > norm_bound**d
-        ):
-            box_state = _box_empty(ann, norm_bound, _EARLY_BOX_NODES)
-            if box_state is True:
-                return DensityVerdict(
-                    DENSE,
-                    witness=None,
-                    depth_used=j,
-                    annihilator_at_depth=ann,
-                    certificate=DenseCertificate(j, norm_bound, norm_bound),
-                    reason="annihilator indices strictly increasing and no "
-                    "nonzero character within the norm bound",
-                    trace=trace,
-                )
-            if box_state is None:
-                # this basis shape defeats the enumeration budget; further
-                # per-level attempts would only repeat the expense
-                early_checks = False
-
-    k = trace.depth
-    ann_k = trace.annihilators[k]
-    # the box holds roughly volume/covolume lattice points; when that figure
-    # already dwarfs the candidate cap, skip the enumeration outright
-    volume_estimate = (2 * norm_bound + 1) ** d // trace.indices[k]
-    if volume_estimate > 2 * _MAX_CANDIDATES:
-        candidates = None
-    else:
-        candidates = _collect_candidates(ann_k, norm_bound, _FINAL_BOX_NODES)
-
-    if candidates is not None and not candidates:
-        if strictly_increasing:
+    sides = (_side(f, g), _side(g, f))
+    equations = []
+    for side in sides:
+        n = _obstruction_equations(side)
+        if n is None:
             return DensityVerdict(
-                DENSE,
-                witness=None,
-                depth_used=k,
-                annihilator_at_depth=ann_k,
-                certificate=DenseCertificate(k, norm_bound, norm_bound),
-                reason="annihilator indices strictly increasing and no "
-                "nonzero character within the norm bound",
-                trace=trace,
+                DENSE, None, "no factor of a chain's characteristic "
+                "polynomial is monic over Z, so no character survives it",
             )
-    elif candidates:
-        tau_pos = _OrbitMap(f, g)
-        tau_neg = _OrbitMap(g, f)
-        growth = max(abs(det(f)), abs(det(g)))
-        norm_cap = norm_bound * growth**k
-        all_eliminated = True
-        for mvec in candidates:
-            rp = _follow_orbit(mvec, tau_pos, norm_cap)
-            if rp == _EXITS:
-                continue
-            rn = _follow_orbit(mvec, tau_neg, norm_cap)
-            if rn == _EXITS:
-                continue
-            if rp == _CYCLES and rn == _CYCLES:
-                return DensityVerdict(
-                    NOT_DENSE,
-                    witness=_canonical_sign(mvec),
-                    depth_used=k,
-                    annihilator_at_depth=ann_k,
-                    reason="character survives both elimination orbits on "
-                    "a cycle",
-                    trace=trace,
-                )
-            all_eliminated = False
-        if all_eliminated:
-            return DensityVerdict(
-                UNKNOWN,
-                witness=None,
-                depth_used=k,
-                annihilator_at_depth=ann_k,
-                reason="no witness within the norm bound, but the "
-                "annihilator still holds small characters",
-                trace=trace,
-            )
-
+        equations.extend(n.rows)
+    common = _kernel(equations)
+    if not common:
+        return DensityVerdict(
+            DENSE, None, "the obstruction spaces of the two chains meet only "
+            "in 0",
+        )
+    v = _echelon(common)[0]
+    e = math.lcm(*(_orbit_denominator(side, v, d) for side in sides))
+    witness = tuple(e * x for x in v)
+    if any(_orbit_denominator(side, witness, d + 1) != 1 for side in sides):
+        raise ConsistencyError("witness character leaves the integers")
     return DensityVerdict(
-        UNKNOWN,
-        witness=None,
-        depth_used=k,
-        annihilator_at_depth=ann_k,
-        reason="no stabilization and no density certificate within budget",
-        trace=trace,
+        NOT_DENSE, witness, "the obstruction spaces of the two chains share "
+        "a line of characters that survive every level",
     )

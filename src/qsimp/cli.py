@@ -35,7 +35,6 @@ class JobSpec:
     f: Optional[IntMatrix]
     g: Optional[IntMatrix]
     max_depth: int
-    norm_bound: int
     epsilon: Fraction
     output: str
     toeplitz: bool = False
@@ -117,9 +116,6 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
     max_depth = doc.get("max_depth", _default_max_depth())
     if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
         raise ParseError("max_depth must be a positive integer")
-    norm_bound = doc.get("norm_bound", chain.DEFAULT_NORM_BOUND)
-    if not isinstance(norm_bound, int) or isinstance(norm_bound, bool) or norm_bound < 1:
-        raise ParseError("norm_bound must be a positive integer")
     epsilon = _parse_epsilon(doc.get("epsilon", "1/1000"))
     output = doc.get("output", default_format)
     if output not in ("json", "text"):
@@ -136,7 +132,6 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
         f=f,
         g=g,
         max_depth=max_depth,
-        norm_bound=norm_bound,
         epsilon=epsilon,
         output=output,
         toeplitz=toeplitz,
@@ -175,9 +170,7 @@ def _hypotheses_dict(h: simplicity.Hypotheses) -> dict:
 
 
 def _decide_result(job: JobSpec) -> tuple[int, dict]:
-    v = simplicity.decide(
-        job.f, job.g, max_depth=job.max_depth, norm_bound=job.norm_bound
-    )
+    v = simplicity.decide(job.f, job.g)
     if job.output == "text":
         rules = [f"{rule}: {why}" for rule, why in v.rules_fired]
     else:

@@ -43,15 +43,6 @@ class ParseError(QsimpError):
     code = "ParseError"
 
 
-class BudgetExceeded(QsimpError):
-    """An enumeration or orbit walk ran past its budget.
-
-    Callers translate this into an Unknown verdict, never into a wrong one.
-    """
-
-    code = "BudgetExceeded"
-
-
 class ConsistencyError(QsimpError):
     """Two routes that must agree disagreed; indicates a bug, not bad input."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from .intmat import IntMatrix, adjugate, det, hnf_rows
 
 
@@ -118,7 +118,8 @@ def index(l: RationalLattice) -> int:
     """[L : Z^d], the order of the modeled torus subgroup."""
     d = det(l.basis)
     num = l.denom**l.dim
-    assert num % d == 0
+    if num % d:
+        raise ConsistencyError("lattice index is not an integer")
     return num // d
 
 
@@ -168,7 +169,8 @@ def dual_annihilator(l: RationalLattice) -> IntegerSublattice:
         out = []
         for x in row:
             num = l.denom * x
-            assert num % dt == 0
+            if num % dt:
+                raise ConsistencyError("annihilator basis is not integral")
             out.append(num // dt)
         rows.append(out)
     return IntegerSublattice(l.dim, hnf_rows(rows, l.dim))

@@ -9,8 +9,9 @@ chain-based density decision:
       Smith decomposition of adj(F) * G, a verdict-preserving move;
   R3  a dilation matrix against a unimodular partner is simple;
   R4  scalar-versus-triangular pairs obey the diagonal avoidance test;
-  R5  otherwise density of the generated subgroup decides;
-  R6  anything left is Unknown, with the deepest chain trace attached.
+  R5  otherwise density of the generated subgroup decides, exactly.
+
+R5 always reaches a verdict, so only R0 answers Unknown.
 
 All reductions multiply on one side by a nonsingular matrix and preserve the
 verdict, which the test suite exercises as the module's central property.
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import chain as _chain
+from . import poly
 from .errors import DimensionMismatch, NotTriangular, SingularMatrix
 from .intmat import IntMatrix, adjugate, det, snf, unimodular_inverse
 
@@ -101,28 +103,6 @@ def condition_L(f: IntMatrix, g: IntMatrix) -> Optional[bool]:
     return None
 
 
-def _charpoly(m: IntMatrix) -> list[int]:
-    """Monic characteristic polynomial coefficients, highest degree first.
-
-    Faddeev-LeVerrier recursion; the division by k is exact over Z.
-    """
-    d = m.dim
-    coeffs = [1]
-    mk = IntMatrix.scalar(d, 0)
-    for k in range(1, d + 1):
-        shift = IntMatrix.diagonal([coeffs[-1]] * d)
-        mk = m @ IntMatrix(
-            [
-                [mk.rows[i][j] + shift.rows[i][j] for j in range(d)]
-                for i in range(d)
-            ]
-        )
-        tr = mk.trace()
-        assert tr % k == 0
-        coeffs.append(-(tr // k))
-    return coeffs
-
-
 def _schur_stable(low_coeffs: list[int]) -> bool:
     """All roots strictly inside the unit disk, exactly.
 
@@ -150,7 +130,7 @@ def is_dilation(f: IntMatrix) -> bool:
     """
     if det(f) == 0:
         return False
-    high_first = _charpoly(f)
+    high_first = poly.charpoly(f)
     # x^d * p(1/x) has exactly these numbers as low-to-high coefficients
     return _schur_stable(high_first)
 
@@ -215,21 +195,14 @@ def _verdict(
     return SimplicityVerdict(status, rules, hyp, density, kirchberg, witness)
 
 
-def decide(
-    f: IntMatrix,
-    g: IntMatrix,
-    max_depth: Optional[int] = None,
-    norm_bound: Optional[int] = None,
-) -> SimplicityVerdict:
-    """Run the rule cascade; the first definite answer wins.
+def decide(f: IntMatrix, g: IntMatrix) -> SimplicityVerdict:
+    """Run the rule cascade; the first rule that applies decides.
 
     Every rule that contributes to the decision path is logged with a
-    human-readable reason. Failures inside the chain fold into Unknown.
+    human-readable reason. Only R0 answers Unknown.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("F and G must have equal dimensions")
-    depth = max_depth if max_depth is not None else _chain.DEFAULT_MAX_DEPTH
-    bound = norm_bound if norm_bound is not None else _chain.DEFAULT_NORM_BOUND
     hyp = check_hypotheses(f, g)
     rules: list[tuple[str, str]] = []
 
@@ -316,25 +289,15 @@ def decide(
             )
             return _verdict(SIMPLE, rules, hyp)
 
-    dv = _chain.decide_density(f, g, max_depth=depth, norm_bound=bound)
+    dv = _chain.decide_density(f, g)
     if dv.status == _chain.DENSE:
-        rules.append(
-            (
-                "R5-density",
-                f"generated subgroup dense (certificate at depth "
-                f"{dv.depth_used})",
-            )
-        )
+        rules.append(("R5-density", f"generated subgroup dense: {dv.reason}"))
         return _verdict(SIMPLE, rules, hyp, density=dv)
-    if dv.status == _chain.NOT_DENSE:
-        rules.append(
-            (
-                "R5-density",
-                f"generated subgroup not dense, witness character "
-                f"{list(dv.witness)}",
-            )
+    rules.append(
+        (
+            "R5-density",
+            f"generated subgroup not dense, witness character "
+            f"{list(dv.witness)}",
         )
-        return _verdict(NOT_SIMPLE, rules, hyp, density=dv, witness=dv.witness)
-
-    rules.append(("R6-unknown", dv.reason))
-    return _verdict(UNKNOWN, rules, hyp, density=dv)
+    )
+    return _verdict(NOT_SIMPLE, rules, hyp, density=dv, witness=dv.witness)

@@ -1,30 +1,31 @@
+from fractions import Fraction
+
 import pytest
 
-from helpers import rand_nonsingular, seeded
+from helpers import rand_nonsingular, rand_unimodular, seeded
+from qsimp import chain
 from qsimp.chain import (
     DENSE,
     NOT_DENSE,
-    UNKNOWN,
     annihilator_step_neg,
     annihilator_step_pos,
     compute_chain,
     decide_density,
-    shortest_vector,
     step_neg,
     step_pos,
 )
-from qsimp.errors import SingularMatrix
+from qsimp.errors import ConsistencyError, SingularMatrix
+from qsimp.finite_oracle import density_1d
 from qsimp.intmat import IntMatrix
 from qsimp.lattice import (
     dual_annihilator,
-    dual_lattice,
     from_rational_rows,
-    index,
     join,
     standard,
     sublattice_contains,
     sublattice_from_rows,
 )
+from qsimp.simplicity import NOT_SIMPLE, SIMPLE, decide
 
 
 def m1(x):
@@ -121,13 +122,19 @@ def test_dual_recursion_consistency():
         assert lhs_n == rhs_n
 
 
+def annihilates_every_level(f, g, witness, depth=30):
+    """The witness lies in every annihilator of levels 0..depth."""
+    trace = compute_chain(f, g, depth)
+    return all(sublattice_contains(a, witness) for a in trace.annihilators)
+
+
 def test_decide_density_dense():
     v = decide_density(m1(2), m1(3))
     assert v.status == DENSE
-    assert v.certificate is not None
     assert v.witness is None
-    # certificate depth is where the annihilator outgrew the norm bound
-    assert index(v.trace.joins[v.depth_used]) > v.certificate.norm_bound
+    # no small character survives: the level-8 annihilator of (2, 3) is
+    # 6^8 Z
+    assert compute_chain(m1(2), m1(3), 8).annihilators[-1].basis == m1(6**8)
 
 
 def test_decide_density_automorphisms():
@@ -141,42 +148,129 @@ def test_decide_density_fixed_point():
     v = decide_density(m1(2), m1(2))
     assert v.status == NOT_DENSE
     assert v.witness == (2,)
-    assert v.annihilator_at_depth.basis == IntMatrix([[2]])
-    # the stabilized annihilator is fixed by one more application of each step
-    a = v.annihilator_at_depth
+    # the chain stabilizes at the annihilator 2Z, fixed by one more
+    # application of each step, and the witness generates it
+    a = compute_chain(m1(2), m1(2), 4).annihilators[-1]
+    assert a.basis == IntMatrix([[2]])
     assert annihilator_step_pos(m1(2), m1(2), a) == a
     assert annihilator_step_neg(m1(2), m1(2), a) == a
 
 
 def test_decide_density_witness_annihilates_every_level():
     v = decide_density(m1(2), m1(2))
-    for a in v.trace.annihilators[: v.depth_used + 1]:
-        assert sublattice_contains(a, v.witness)
+    assert annihilates_every_level(m1(2), m1(2), v.witness)
+    # G = -2 keeps the character 1 integral under F^T G^{-T} = -1, but
+    # 1 does not annihilate the first level G^{-1} Z = Z/2
+    f, g = m1(2), m1(-2)
+    v = decide_density(f, g)
+    assert v.witness == (2,)
+    assert annihilates_every_level(f, g, v.witness)
+    assert not sublattice_contains(compute_chain(f, g, 1).annihilators[1], (1,))
 
 
 def test_decide_density_orbit_witness_d2():
-    # forward cycle and backward cycle on the character (2, 0); the join
-    # chain itself never stabilizes because the second coordinate runs away
+    # the join chain never stabilizes because the second coordinate runs
+    # away, yet (2, 0) survives every level
     f = IntMatrix.diagonal([2, 2])
     g = IntMatrix.diagonal([2, 1])
     v = decide_density(f, g)
     assert v.status == NOT_DENSE
     assert v.witness == (2, 0)
-    for a in v.trace.annihilators[: v.depth_used + 1]:
-        assert sublattice_contains(a, v.witness)
+    assert annihilates_every_level(f, g, v.witness)
 
 
-def test_decide_density_budget_unknown():
-    # depth 1 leaves a coarse annihilator full of small characters that all
-    # get eliminated, which is not enough for either definite verdict
-    v = decide_density(m1(2), m1(3), max_depth=1)
-    assert v.status == UNKNOWN
+def test_decide_density_needs_no_budget():
+    # none of the closed-form rules resolves this pair, and the exact test
+    # settles it without any chain depth
+    f = IntMatrix([[2, 1], [0, 1]])
+    g = IntMatrix([[1, 0], [1, 3]])
+    assert decide_density(f, g).status == DENSE
+    assert decide(f, g).status == SIMPLE
 
 
-def test_shortest_vector():
-    assert shortest_vector(sublattice_from_rows(2, [[1, 0], [0, 1]])) == (1, 0)
-    assert shortest_vector(sublattice_from_rows(1, [[6]])) == (6,)
-    assert shortest_vector(sublattice_from_rows(2, [[2, 0], [0, 3]])) == (2, 0)
+def test_decide_density_rechecks_witness(monkeypatch):
+    # with the scaling e forced to 1 the unscaled witness (1,) of (2, 2)
+    # fails the integrality re-check
+    real = chain._orbit_denominator
+
+    def unscaled(side, v, steps):
+        return 1 if steps == 1 else real(side, v, steps)
+
+    monkeypatch.setattr(chain, "_orbit_denominator", unscaled)
+    with pytest.raises(ConsistencyError):
+        decide_density(m1(2), m1(2))
+
+
+def test_reproducer_not_simple():
+    # diag(2, 5) and diag(3, 5) conjugated by [[1, 0], [20000, 1]]: the
+    # character (-100000, 5) survives, far outside any small norm box
+    f = IntMatrix([[2, 0], [-60000, 5]])
+    g = IntMatrix([[3, 0], [-40000, 5]])
+    v = decide(f, g)
+    assert v.status == NOT_SIMPLE
+    assert v.witness == (100000, -5)
+    assert annihilates_every_level(f, g, v.witness)
+
+
+def _conjugate(rng, d, a, b, size):
+    """P diag(a) P^-1 and P diag(b) P^-1 for P a product of shears."""
+    p = [[int(i == j) for j in range(d)] for i in range(d)]
+    p_inv = [row[:] for row in p]
+    for _ in range(d - 1):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice([-1, 1]) * rng.randint(max(1, size // 2), size)
+        for k in range(d):  # p = E p, p_inv = p_inv E^-1 with E = I + c e_ij
+            p[i][k] += c * p[j][k]
+        for k in range(d):
+            p_inv[k][j] -= c * p_inv[k][i]
+    p, p_inv = IntMatrix(p), IntMatrix(p_inv)
+    assert p @ p_inv == IntMatrix.identity(d)
+    return p @ IntMatrix.diagonal(a) @ p_inv, p @ IntMatrix.diagonal(b) @ p_inv
+
+
+def test_conjugated_diagonal_pairs_match_closed_form():
+    rng = seeded(53)
+    vals = [x for x in range(-5, 6) if x]
+    for d in (2, 3, 4):
+        for size in (2, 2_000, 20_000):
+            for _ in range(8 if d < 4 else 2):
+                a = [rng.choice(vals) for _ in range(d)]
+                b = [rng.choice(vals) for _ in range(d)]
+                if rng.random() < 0.5:
+                    b[0] = rng.choice([-1, 1]) * a[0]
+                f, g = _conjugate(rng, d, a, b, size)
+                want = all(abs(x) != abs(y) for x, y in zip(a, b))
+                v = decide(f, g)
+                assert v.status == (SIMPLE if want else NOT_SIMPLE), (a, b, size)
+
+
+def test_d1_pairs_match_finite_oracle():
+    vals = [x for x in range(-6, 7) if x]
+    for f in vals:
+        for g in vals:
+            v = decide_density(m1(f), m1(g))
+            orc = density_1d(f, g, 12, Fraction(1, 1000))
+            want = "dense_at_resolution" if v.status == DENSE else "not_dense"
+            assert orc.status == want, (f, g)
+
+
+def test_not_simple_witnesses_annihilate_every_level():
+    # (X diag(a) Y, X diag(b) Y) with |a_0| = |b_0| is NotSimple: one-sided
+    # compositions preserve the verdict
+    rng = seeded(59)
+    vals = [x for x in range(-3, 4) if x]
+    for k in range(12):
+        d = 2 + k % 2
+        a = [rng.choice(vals) for _ in range(d)]
+        b = [rng.choice(vals) for _ in range(d)]
+        b[0] = rng.choice([-1, 1]) * a[0]
+        x = rand_nonsingular(rng, d, -2, 2)
+        y = rand_unimodular(rng, d, steps=4)
+        f = x @ IntMatrix.diagonal(a) @ y
+        g = x @ IntMatrix.diagonal(b) @ y
+        v = decide(f, g)
+        assert v.status == NOT_SIMPLE and v.witness is not None
+        assert annihilates_every_level(f, g, v.witness), (f, g, v.witness)
 
 
 def test_diagonal_pairs_match_closed_form():
@@ -206,4 +300,4 @@ def test_dilation_chain_never_not_dense():
             continue
         found += 1
         v = decide_density(f, IntMatrix.identity(d))
-        assert v.status in (DENSE, UNKNOWN)
+        assert v.status == DENSE

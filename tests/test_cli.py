@@ -15,7 +15,10 @@ def job_line(**kwargs):
 def test_parse_job_valid():
     job = parse_job(job_line(command="decide", d=1, F=[[2]], G=[[3]]))
     assert job.command == "decide"
-    assert job.max_depth == 24 and job.norm_bound == 10_000
+    assert job.max_depth == 24
+    # a stray norm_bound key, as older job files carry, is ignored
+    old = parse_job(job_line(command="decide", d=1, F=[[2]], G=[[3]], norm_bound=5))
+    assert run(old) == run(job)
 
 
 def test_parse_job_missing_field():
@@ -58,19 +61,19 @@ def test_run_decide_automorphisms():
 
 
 def test_run_decide_unknown_exit_2():
-    # shallow budget on a pair none of the closed forms resolve
+    # only a zero determinant (rule R0) leaves decide Unknown
     job = parse_job(
-        job_line(
-            command="decide",
-            d=2,
-            F=[[2, 1], [0, 1]],
-            G=[[1, 0], [1, 3]],
-            max_depth=1,
-        )
+        job_line(command="decide", d=2, F=[[2, 1], [0, 1]], G=[[1, 0], [2, 0]])
     )
     code, payload = run(job)
     assert code == 2
     assert json.loads(payload)["status"] == "Unknown"
+    assert json.loads(payload)["rules"] == ["R0-scope"]
+    # a pair none of the closed-form rules resolves still gets a verdict
+    job = parse_job(
+        job_line(command="decide", d=2, F=[[2, 1], [0, 1]], G=[[1, 0], [1, 3]])
+    )
+    assert run(job)[0] == 0
 
 
 def test_run_trace():

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import lattice_points_oracle, rand_nonsingular, seeded
-from qsimp.errors import DimensionMismatch, SingularMatrix
+from qsimp.errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from qsimp.intmat import IntMatrix, is_unimodular
 from qsimp.lattice import (
+    RationalLattice,
     contains,
     dual_annihilator,
     dual_lattice,
@@ -104,6 +105,16 @@ def test_index_examples():
     assert index(Z2) == 1
     assert index(from_kernel(IntMatrix.diagonal([2, 3]))) == 6
     assert index(join(HALF, THIRD)) == 6
+
+
+def test_inconsistent_lattice_raises():
+    # basis 3Z under denominator 2 does not contain 2Z, so it is no
+    # canonical lattice; the invariant checks hold under python -O too
+    bad = RationalLattice(1, 2, IntMatrix([[3]]))
+    with pytest.raises(ConsistencyError):
+        index(bad)
+    with pytest.raises(ConsistencyError):
+        dual_annihilator(bad)
 
 
 def test_contains_examples():

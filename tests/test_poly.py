@@ -1,0 +1,79 @@
+import pytest
+
+from helpers import rand_matrix, seeded
+from qsimp.intmat import IntMatrix
+from qsimp.poly import _factor_mod, _mul, charpoly, factor
+
+
+def corpus():
+    """Seeded integer polynomials of degree 1..8 built from random factors,
+    about a third of them with a repeated factor, some non-monic."""
+    rng = seeded(131)
+    out = []
+    for _ in range(150):
+        f = [rng.choice([-3, -2, -1, 1, 2, 3])]
+        target = rng.randint(1, 8)
+        while len(f) - 1 < target:
+            k = rng.randint(1, min(3, target - (len(f) - 1)))
+            g = [rng.randint(1, 3)] + [rng.randint(-6, 6) for _ in range(k)]
+            f = _mul(f, g)
+            if rng.random() < 0.35 and len(f) - 1 + k <= 8:
+                f = _mul(f, g)
+        out.append(f)
+    return out
+
+
+def expand(content, factors):
+    prod = [content]
+    for p, mult in factors:
+        for _ in range(mult):
+            prod = _mul(prod, p)
+    return prod
+
+
+def test_factor_product_gives_back_input():
+    for f in corpus():
+        content, factors = factor(f)
+        assert expand(content, factors) == f
+        assert all(p[0] > 0 and len(p) > 1 for p, _ in factors)
+
+
+def test_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for f in corpus():
+        content, factors = sympy.factor_list(sympy.Poly(f, x))
+        want = sorted(([int(c) for c in p.all_coeffs()], m) for p, m in factors)
+        got = factor(f)
+        assert (got[0], sorted(got[1])) == (int(content), want), f
+
+
+def test_factor_hand_cases():
+    assert factor([1, 0, -2]) == (1, [([1, 0, -2], 1)])
+    # x^4 + 1 is irreducible over Q but splits modulo every prime, so only
+    # the recombination of its modular factors can prove it irreducible
+    assert factor([1, 0, 0, 0, 1]) == (1, [([1, 0, 0, 0, 1], 1)])
+    for p in (3, 5, 7, 11, 13):
+        assert len(_factor_mod([1, 0, 0, 0, 1], p)) > 1
+    # Swinnerton-Dyer polynomial of sqrt 2, sqrt 3: four quadratic factors
+    # modulo every prime, irreducible over Q
+    sd = [1, 0, -40, 0, 352, 0, -960, 0, 576]
+    assert factor(sd) == (1, [(sd, 1)])
+    assert factor([-4, 0, 0, 0, 1]) == (-1, [([2, 0, -1], 1), ([2, 0, 1], 1)])
+    assert factor([2, 0, 0]) == (2, [([1, 0], 2)])
+    assert factor([1, -3, 3, -1]) == (1, [([1, -1], 3)])
+    # a root too large for the divisor search is found by the modular path
+    big = 10**12 + 39
+    want = (1, [([1, -big], 1), ([1, 0, 1], 1)])
+    assert factor(_mul([1, -big], [1, 0, 1])) == want
+
+
+def test_charpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = seeded(137)
+    for _ in range(30):
+        m = rand_matrix(rng, rng.randint(1, 5), -6, 6)
+        want = sympy.Matrix([list(r) for r in m.rows]).charpoly(x).all_coeffs()
+        assert charpoly(m) == [int(c) for c in want]
+    assert charpoly(IntMatrix([[2, 1], [0, 3]])) == [1, -5, 6]

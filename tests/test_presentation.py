@@ -109,11 +109,10 @@ def test_normalization_preserves_verdict():
             if det(f) != 0 and det(g) != 0:
                 break
         p = present(f, g)
-        base = decide(f, g, max_depth=12).status
+        base = decide(f, g).status
         normed = decide(
             IntMatrix.diagonal(list(p.diag)),
             IntMatrix([list(r) for r in p.g_rows]),
-            max_depth=12,
         ).status
         if UNKNOWN not in (base, normed):
             assert base == normed

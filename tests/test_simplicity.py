@@ -166,7 +166,7 @@ def test_simple_implies_condition_L_or_fast_path():
         d = rng.randint(1, 2)
         f = rand_nonsingular(rng, d, -3, 3)
         g = rand_nonsingular(rng, d, -3, 3)
-        v = decide(f, g, max_depth=12)
+        v = decide(f, g)
         if v.status == SIMPLE:
             assert v.hypotheses.condition_L is True
             assert v.kirchberg_flag == (
@@ -180,8 +180,8 @@ def test_symmetry_of_decide():
         d = rng.randint(1, 2)
         f = rand_nonsingular(rng, d, -3, 3)
         g = rand_nonsingular(rng, d, -3, 3)
-        a = decide(f, g, max_depth=12).status
-        b = decide(g, f, max_depth=12).status
+        a = decide(f, g).status
+        b = decide(g, f).status
         if UNKNOWN not in (a, b):
             assert a == b
 
@@ -215,12 +215,12 @@ def test_reduction_invariance_smoke():
         f = rand_nonsingular(rng, d, -3, 3)
         g = rand_nonsingular(rng, d, -3, 3)
         h = rand_nonsingular(rng, d, -3, 3)
-        base = decide(f, g, max_depth=12).status
+        base = decide(f, g).status
         for fa, ga in (reduce_right(f, g, h), reduce_left(f, g, h)):
-            other = decide(fa, ga, max_depth=12).status
+            other = decide(fa, ga).status
             if UNKNOWN not in (base, other):
                 assert base == other
         n, t, _ = normalize(f, g)
-        norm_status = decide(IntMatrix.scalar(d, n), t, max_depth=12).status
+        norm_status = decide(IntMatrix.scalar(d, n), t).status
         if UNKNOWN not in (base, norm_status):
             assert base == norm_status
