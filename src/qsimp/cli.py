@@ -290,8 +290,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     tagged = [(ln, opts.format) for ln in lines]
     if opts.jobs > 1 and len(lines) > 1:
+        # a few chunks per worker: one job per task costs more in dispatch
+        # than a short job takes to run
+        chunksize = max(1, len(lines) // (4 * opts.jobs))
         with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-            results = list(pool.map(_run_line, tagged))
+            results = list(pool.map(_run_line, tagged, chunksize=chunksize))
     else:
         results = [_run_line(t) for t in tagged]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import SingularMatrix
+from .errors import ConsistencyError, SingularMatrix
 
 
 class IntMatrix:
@@ -105,18 +105,10 @@ class SmithDecomposition(NamedTuple):
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
+    """(g, x, y) with a*x + b*y = g = gcd(a, b), for a > 0."""
+    g = math.gcd(a, b)
+    y = pow(b // g, -1, a // g)
+    return g, (g - b * y) // a, y
 
 
 def _det_cofactor(rows) -> int:
@@ -207,82 +199,72 @@ def _row_axpy(mat, i: int, k: int, q: int) -> None:
         ri[j] -= q * rk[j]
 
 
-def hnf_rows(rows: Sequence[Sequence[int]], dim: int) -> IntMatrix:
-    """Row-style Hermite normal form of the full-rank row lattice of `rows`.
+def hnf_rows(rows: Sequence[Sequence[int]], dim: int, modulus: int) -> IntMatrix:
+    """Row Hermite normal form of the lattice span(rows) + modulus * Z^dim.
 
-    Accepts any stack of integer rows (at least `dim` of them) whose row
-    lattice has full rank `dim`; raises SingularMatrix otherwise. The result
-    is upper triangular with positive pivots and entries above each pivot
-    reduced into [0, pivot). That form is unique per row lattice, so it is
-    the canonical representative used everywhere in the package.
+    The result is upper triangular with positive pivots and entries above
+    each pivot reduced into [0, pivot). That form is unique per row lattice,
+    so it is the canonical representative used everywhere in the package.
+    A caller that wants the HNF of span(rows) itself passes a positive
+    multiple of its index [Z^dim : span(rows)].
+
+    The elimination runs modulo `modulus` (Domich-Kannan-Trotter 1987;
+    Cohen, GTM 138, Alg. 2.4.8), which keeps the working entries in
+    [0, modulus). Column by column, one extended-gcd step per live row folds
+    modulus * e_c and that row into the pivot row and leaves the row zero in
+    column c; entries right of column c are then reduced modulo `modulus`,
+    which only adds vectors of modulus * Z^dim.
     """
-    h = [list(row) for row in rows]
-    n = len(h)
-    if n < dim or any(len(row) != dim for row in h):
-        raise ValueError("row stack must have at least dim rows of length dim")
-    for col in range(dim):
-        while True:
-            nz = [i for i in range(col, n) if h[i][col] != 0]
-            if not nz:
-                raise SingularMatrix("row lattice is not full rank")
-            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
-            if i0 != col:
-                h[col], h[i0] = h[i0], h[col]
-            done = True
-            for i in range(col + 1, n):
-                if h[i][col] == 0:
-                    continue
-                q = h[i][col] // h[col][col]
-                _row_axpy(h, i, col, q)
-                if h[i][col] != 0:
-                    done = False
-            if done:
-                break
-        if h[col][col] < 0:
-            h[col] = [-x for x in h[col]]
-        p = h[col][col]
-        for i in range(col):
-            q = h[i][col] // p
+    if modulus <= 0:
+        raise ValueError("modulus must be positive")
+    if any(len(row) != dim for row in rows):
+        raise ValueError("rows must have length dim")
+    # live rows keep only the columns from c on
+    live = [[x % modulus for x in row] for row in rows]
+    h = []
+    for c in range(dim):
+        piv = [0] * (dim - c)
+        piv[0] = modulus
+        rest = []
+        for row in live:
+            a = row[0]
+            if a:
+                p = piv[0]
+                g, s, t = _xgcd(p, a)
+                u, v = p // g, a // g
+                piv, row = (
+                    [g] + [(s * x + t * y) % modulus for x, y in zip(piv[1:], row[1:])],
+                    [(v * x - u * y) % modulus for x, y in zip(piv, row)],
+                )
+            if any(row):
+                rest.append(row[1:])
+        h.append([0] * c + piv)
+        live = rest
+    for c in range(dim):
+        p = h[c][c]
+        for i in range(c):
+            q = h[i][c] // p
             if q:
-                _row_axpy(h, i, col, q)
-    return IntMatrix(h[:dim])
+                _row_axpy(h, i, c, q)
+    return IntMatrix(h)
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """(h, u) with u unimodular and h = u @ m in row Hermite normal form."""
-    if det(m) == 0:
+    """(h, u) with u unimodular and h = u @ m in row Hermite normal form.
+
+    h comes from hnf_rows with modulus |det m|, since |det m| * Z^d lies in
+    the row lattice of m; u is then h @ m^-1 = h @ adj(m) / det(m), exactly.
+    """
+    dt = det(m)
+    if dt == 0:
         raise SingularMatrix("hnf requires a nonsingular matrix")
-    d = m.dim
-    h = [list(row) for row in m.rows]
-    u = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for col in range(d):
-        while True:
-            nz = [i for i in range(col, d) if h[i][col] != 0]
-            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
-            if i0 != col:
-                h[col], h[i0] = h[i0], h[col]
-                u[col], u[i0] = u[i0], u[col]
-            done = True
-            for i in range(col + 1, d):
-                if h[i][col] == 0:
-                    continue
-                q = h[i][col] // h[col][col]
-                _row_axpy(h, i, col, q)
-                _row_axpy(u, i, col, q)
-                if h[i][col] != 0:
-                    done = False
-            if done:
-                break
-        if h[col][col] < 0:
-            h[col] = [-x for x in h[col]]
-            u[col] = [-x for x in u[col]]
-        p = h[col][col]
-        for i in range(col):
-            q = h[i][col] // p
-            if q:
-                _row_axpy(h, i, col, q)
-                _row_axpy(u, i, col, q)
-    return IntMatrix(h), IntMatrix(u)
+    h = hnf_rows(m.rows, m.dim, abs(dt))
+    u = []
+    for row in (h @ adjugate(m)).rows:
+        if any(x % dt for x in row):
+            raise ConsistencyError("hnf transform is not integral")
+        u.append([x // dt for x in row])
+    return h, IntMatrix(u)
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:

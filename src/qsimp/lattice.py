@@ -45,10 +45,7 @@ class IntegerSublattice:
 
 def _canonical(dim: int, denom: int, int_rows: Sequence[Sequence[int]]) -> RationalLattice:
     """Canonicalize the lattice generated by int_rows / denom plus Z^d."""
-    stacked = [list(row) for row in int_rows]
-    for i in range(dim):
-        stacked.append([denom if j == i else 0 for j in range(dim)])
-    h = hnf_rows(stacked, dim)
+    h = hnf_rows(int_rows, dim, denom)
     g = 0
     for row in h.rows:
         for x in row:
@@ -114,9 +111,14 @@ def preimage(g: IntMatrix, l: RationalLattice) -> RationalLattice:
     return _canonical(l.dim, l.denom * abs(dg), rows)
 
 
+def _diagonal_product(basis: IntMatrix) -> int:
+    # the determinant of an upper-triangular HNF basis
+    return math.prod(basis.rows[i][i] for i in range(basis.dim))
+
+
 def index(l: RationalLattice) -> int:
     """[L : Z^d], the order of the modeled torus subgroup."""
-    d = det(l.basis)
+    d = _diagonal_product(l.basis)
     num = l.denom**l.dim
     if num % d:
         raise ConsistencyError("lattice index is not an integer")
@@ -162,7 +164,7 @@ def dual_annihilator(l: RationalLattice) -> IntegerSublattice:
     D*B^{-1}, which is integral precisely because D*Z^d <= D*L.
     """
     b = l.basis
-    dt = det(b)
+    dt = _diagonal_product(b)
     adj_t = adjugate(b).transpose()
     rows = []
     for row in adj_t.rows:
@@ -173,7 +175,8 @@ def dual_annihilator(l: RationalLattice) -> IntegerSublattice:
                 raise ConsistencyError("annihilator basis is not integral")
             out.append(num // dt)
         rows.append(out)
-    return IntegerSublattice(l.dim, hnf_rows(rows, l.dim))
+    # D*Z^d lies in the annihilator because L lies in Z^d / D
+    return IntegerSublattice(l.dim, hnf_rows(rows, l.dim, l.denom))
 
 
 def dual_lattice(m: IntegerSublattice) -> RationalLattice:
@@ -181,18 +184,22 @@ def dual_lattice(m: IntegerSublattice) -> RationalLattice:
 
     Inverse of dual_annihilator: dual_lattice(dual_annihilator(l)) == l.
     """
-    b = m.basis
-    rows = adjugate(b.transpose()).rows
-    return _canonical(m.dim, det(b), rows)
+    rows = adjugate(m.basis.transpose()).rows
+    return _canonical(m.dim, sublattice_index(m), rows)
 
 
 def sublattice_from_rows(dim: int, rows: Sequence[Sequence[int]]) -> IntegerSublattice:
-    return IntegerSublattice(dim, hnf_rows(rows, dim))
+    """The sublattice spanned by a square basis; raises SingularMatrix if it
+    is not full rank."""
+    n = abs(det(IntMatrix(rows)))
+    if n == 0:
+        raise SingularMatrix("sublattice basis is not full rank")
+    return IntegerSublattice(dim, hnf_rows(rows, dim, n))
 
 
 def sublattice_index(m: IntegerSublattice) -> int:
     """[Z^d : M]."""
-    return det(m.basis)
+    return _diagonal_product(m.basis)
 
 
 def sublattice_contains(m: IntegerSublattice, v: Sequence[int]) -> bool:
@@ -203,10 +210,12 @@ def sublattice_contains(m: IntegerSublattice, v: Sequence[int]) -> bool:
 
 def sublattice_transform(m: IntegerSublattice, t: IntMatrix) -> IntegerSublattice:
     """Image {T x : x in M}; requires det(T) != 0 to stay full rank."""
-    if det(t) == 0:
+    dt = det(t)
+    if dt == 0:
         raise SingularMatrix("transform needs det != 0")
     rows = (m.basis @ t.transpose()).rows
-    return IntegerSublattice(m.dim, hnf_rows(rows, m.dim))
+    # [Z^d : T M] = |det T| * [Z^d : M]
+    return IntegerSublattice(m.dim, hnf_rows(rows, m.dim, sublattice_index(m) * abs(dt)))
 
 
 def sublattice_intersect(m1: IntegerSublattice, m2: IntegerSublattice) -> IntegerSublattice:

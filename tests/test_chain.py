@@ -1,9 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from helpers import rand_nonsingular, rand_unimodular, seeded
-from qsimp import chain
+from qsimp import chain, cli
 from qsimp.chain import (
     DENSE,
     NOT_DENSE,
@@ -301,3 +303,55 @@ def test_dilation_chain_never_not_dense():
         found += 1
         v = decide_density(f, IntMatrix.identity(d))
         assert v.status == DENSE
+
+
+# sha256 of the `trace` output line of cli.run at depths 24, 96 and 192,
+# recorded from the min-pivot Euclid HNF that preceded the modular one; the
+# HNF is unique, so any correct canonicalisation prints the same bytes
+TRACE_DIGESTS = [
+    (
+        [[2, 1], [1, 2]],
+        [[1, 1], [-1, 1]],
+        (
+            "2578d7103626a4df3c73c53d3585b996194e0d38251b0915a46ef84bab51b51c",
+            "ccb729cb088599d4647b6e6078047dfa75f47ff9123d0eb00afd8acd63b294f8",
+            "7283c39df91c0c676e4f9682eb7db2805b002cd7c515e86341ee8602eeefb956",
+        ),
+    ),
+    (
+        [[3, 1], [1, -1]],
+        [[0, 3], [1, 1]],
+        (
+            "478d1d98504570bfbde12969cc82e7f2029a44df380ce3461ed218dba38035f7",
+            "abbb1dd2ca303a742adcf3448e342df39eb5c74e10d71af3fdaf5dec00f3415c",
+            "5302a30f87e13ce77e68c35a32c7e0a466dc70cf83661732e239ab070ec2107a",
+        ),
+    ),
+    (
+        [[1, 1, 0], [0, 2, 1], [1, 0, 1]],
+        [[2, 0, 1], [1, 1, 0], [0, -1, 2]],
+        (
+            "1b22b7cba901ebfe183d09320c05cfab102e23240bea03eb7c51b8c2a14c5a68",
+            "8432e7def5ad235b5c1ac6bdb9a5f2133b2f127ee34dafdc20a0b81432f2644b",
+            "ce2f92c7dc53f21454bede29977805bee9f05fc229d170c58444b30424947468",
+        ),
+    ),
+    (
+        [[0, 1, 0], [0, 0, 1], [2, 1, 1]],
+        [[1, 1, 1], [0, 2, 1], [1, 0, 3]],
+        (
+            "b642b24921630d94cb4214c3020aecba78f4d75b5321830f414b9d83311cc583",
+            "98ce430b7770c5d246c3bd5c07851747045749e5dfa30d6be40188f2885647fb",
+            "1b6d8c04b3add00e92df41b4fd236f85903888b2887e03dfe09ab01eb5b24e3e",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("f, g, digests", TRACE_DIGESTS, ids=["d2a", "d2b", "d3a", "d3b"])
+def test_trace_output_pinned(f, g, digests):
+    for depth, digest in zip((24, 96, 192), digests):
+        doc = {"command": "trace", "d": len(f), "F": f, "G": g, "max_depth": depth}
+        code, out = cli.run(cli.parse_job(json.dumps(doc)))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

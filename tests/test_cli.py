@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from helpers import rand_matrix, seeded
 from qsimp.cli import main, parse_job, run
 from qsimp.errors import DimensionMismatch, ParseError
 
@@ -162,6 +163,45 @@ def test_main_parallel_preserves_order(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert code == 0
     assert [json.loads(l)["witness"] for l in out] == [[2], [3], [4]]
+
+
+def _mixed_batch(rng, n):
+    """Decide, trace, present and oracle jobs, with singular and malformed
+    lines among them."""
+    lines = []
+    for k in range(n):
+        kind = k % 6
+        d = rng.randint(1, 3)
+        f = [list(r) for r in rand_matrix(rng, d, -4, 4).rows]
+        g = [list(r) for r in rand_matrix(rng, d, -4, 4).rows]
+        if kind == 0:
+            lines.append(job_line(command="decide", d=d, F=f, G=g))
+        elif kind == 1:
+            lines.append(job_line(command="trace", d=d, F=f, G=g, max_depth=3))
+        elif kind == 2:
+            lines.append(job_line(command="present", d=1, F=[[2]], G=[[rng.randint(1, 4)]]))
+        elif kind == 3:
+            lines.append(job_line(command="oracle", d=1, F=[[rng.randint(1, 5)]],
+                                  G=[[rng.randint(1, 5)]], max_depth=6))
+        elif kind == 4:
+            lines.append(job_line(command="decide", d=1, F=[[rng.randint(-6, 6)]],
+                                  G=[[rng.randint(-6, 6)]]))
+        else:
+            lines.append(rng.choice(["{", "[]", job_line(command="trace", d=2, F=f)]))
+    return lines
+
+
+def test_main_jobs_2_matches_jobs_1(tmp_path, capsys):
+    # enough lines that each worker task carries a chunk of several jobs
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("\n".join(_mixed_batch(seeded(71), 240)) + "\n")
+    code_1 = main(["--input", str(path), "--jobs", "1"])
+    out_1 = capsys.readouterr().out
+    code_2 = main(["--input", str(path), "--jobs", "2"])
+    out_2 = capsys.readouterr().out
+    assert code_1 == code_2
+    assert out_2 == out_1
+    assert len(out_1.splitlines()) == 240
 
 
 def test_env_var_max_depth(tmp_path, monkeypatch):

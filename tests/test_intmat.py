@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from qsimp.intmat import (
     snf,
     unimodular_inverse,
 )
+from qsimp.lattice import sublattice_from_rows
 
 I2 = IntMatrix.identity(2)
 I3 = IntMatrix.identity(3)
@@ -75,7 +77,11 @@ def test_hnf_singular_rejected():
     with pytest.raises(SingularMatrix):
         hnf(IntMatrix([[1, 2], [2, 4]]))
     with pytest.raises(SingularMatrix):
-        hnf_rows([[1, 0], [2, 0]], 2)
+        sublattice_from_rows(2, [[1, 0], [2, 0]])
+    # span(rows) + modulus * Z^d is full rank only for a positive modulus
+    for modulus in (0, -3):
+        with pytest.raises(ValueError):
+            hnf_rows([[1, 0], [0, 1]], 2, modulus)
 
 
 def _assert_hnf_shape(h):
@@ -106,6 +112,47 @@ def test_hnf_idempotent_and_canonical():
         w = rand_unimodular(rng, d)
         h3, _ = hnf(w @ m)
         assert h3 == h
+
+
+def _minor_gcd(rows, d):
+    """gcd of all d x d minors of a row stack: the index of its row lattice
+    in Z^d, or 0 when the stack is not full rank."""
+    g = 0
+    for pick in itertools.combinations(rows, d):
+        g = math.gcd(g, det_oracle([list(r) for r in pick]))
+    return g
+
+
+def _solves_upper(h, v):
+    """v is an integer combination of the rows of the upper-triangular h."""
+    v = list(v)
+    for i, row in enumerate(h.rows):
+        if v[i] % row[i]:
+            return False
+        q = v[i] // row[i]
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def test_hnf_rows_modular_matches_minor_oracle():
+    rng = seeded(19)
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        rows = [[rng.randint(-7, 7) for _ in range(d)] for _ in range(rng.randint(1, 2 * d))]
+        index = _minor_gcd(rows, d)
+        if index:
+            # a multiple of the index: the result is the HNF of span(rows)
+            modulus = index * rng.randint(1, 3)
+        else:
+            modulus = rng.randint(1, 60)
+        scaled = [[modulus * (i == j) for j in range(d)] for i in range(d)]
+        h = hnf_rows(rows, d, modulus)
+        _assert_hnf_shape(h)
+        for v in rows + scaled:
+            assert _solves_upper(h, v)
+        assert det(h) == _minor_gcd(rows + scaled, d)
+        if index:
+            assert det(h) == index
 
 
 def test_snf_examples():
