@@ -4,11 +4,9 @@ algebras, plus the lattice machinery behind them."""
 from .chain import (
     ChainTrace,
     DensityVerdict,
-    annihilator_step_neg,
     annihilator_step_pos,
     compute_chain,
     decide_density,
-    step_neg,
     step_pos,
 )
 from .errors import (
@@ -36,9 +34,6 @@ from .intmat import (
     SmithDecomposition,
     adjugate,
     det,
-    hnf,
-    is_unimodular,
-    mod_inverse_reduced,
     snf,
     unimodular_inverse,
 )
@@ -48,7 +43,6 @@ from .lattice import (
     contains,
     dual_annihilator,
     dual_lattice,
-    equals,
     from_kernel,
     from_rational_rows,
     index,
@@ -59,7 +53,6 @@ from .lattice import (
     sublattice_contains,
     sublattice_from_rows,
     sublattice_index,
-    sublattice_intersect,
     sublattice_transform,
 )
 from .presentation import Presentation, index_set, present, render

@@ -51,8 +51,6 @@ NOT_DENSE = "NotDense"
 class ChainTrace:
     """Levels 0..depth of both chains, their joins, and the dual data."""
 
-    f: IntMatrix
-    g: IntMatrix
     depth: int
     pos: list[RationalLattice]
     neg: list[RationalLattice]
@@ -76,15 +74,12 @@ def _check_pair(f: IntMatrix, g: IntMatrix) -> None:
 
 
 def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
-    """One forward level: G-preimage of the F-image."""
+    """One forward level: G-preimage of the F-image.
+
+    step_pos(g, f, l) is the backward level, the F-preimage of the G-image.
+    """
     _check_pair(f, g)
     return preimage(g, pushforward(f, l))
-
-
-def step_neg(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
-    """One backward level: F-preimage of the G-image."""
-    _check_pair(f, g)
-    return preimage(f, pushforward(g, l))
 
 
 def annihilator_step_pos(f: IntMatrix, g: IntMatrix, m: IntegerSublattice) -> IntegerSublattice:
@@ -98,46 +93,22 @@ def annihilator_step_pos(f: IntMatrix, g: IntMatrix, m: IntegerSublattice) -> In
     return sublattice_transform(inter, g.transpose())
 
 
-def annihilator_step_neg(f: IntMatrix, g: IntMatrix, m: IntegerSublattice) -> IntegerSublattice:
-    """Dual of step_neg: F^T (G^{-T} M intersected with Z^d)."""
-    _check_pair(f, g)
-    inter = dual_annihilator(pushforward(g, dual_lattice(m)))
-    return sublattice_transform(inter, f.transpose())
-
-
-def _new_trace(f: IntMatrix, g: IntMatrix) -> ChainTrace:
-    z = standard(f.dim)
-    return ChainTrace(
-        f=f,
-        g=g,
-        depth=0,
-        pos=[z],
-        neg=[z],
-        joins=[z],
-        annihilators=[dual_annihilator(z)],
-        indices=[1],
-    )
-
-
-def _extend(trace: ChainTrace) -> None:
-    trace.pos.append(step_pos(trace.f, trace.g, trace.pos[-1]))
-    trace.neg.append(step_neg(trace.f, trace.g, trace.neg[-1]))
-    lam = join(trace.pos[-1], trace.neg[-1])
-    trace.joins.append(lam)
-    trace.annihilators.append(dual_annihilator(lam))
-    trace.indices.append(index(lam))
-    trace.depth += 1
-
-
 def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
     """Fill every level 0..depth; no early exit."""
     _check_pair(f, g)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    trace = _new_trace(f, g)
+    z = standard(f.dim)
+    pos, neg, joins = [z], [z], [z]
+    annihilators, indices = [dual_annihilator(z)], [1]
     for _ in range(depth):
-        _extend(trace)
-    return trace
+        pos.append(step_pos(f, g, pos[-1]))
+        neg.append(step_pos(g, f, neg[-1]))
+        lam = join(pos[-1], neg[-1])
+        joins.append(lam)
+        annihilators.append(dual_annihilator(lam))
+        indices.append(index(lam))
+    return ChainTrace(depth, pos, neg, joins, annihilators, indices)
 
 
 class _Side(NamedTuple):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +21,6 @@ from .errors import DimensionMismatch, ParseError, QsimpError
 from .intmat import IntMatrix
 
 COMMANDS = ("decide", "trace", "present", "oracle", "sweep")
-ENV_MAX_DEPTH = "QS_MAX_DEPTH"
 
 EXIT_DEFINITE = 0
 EXIT_ERROR = 1
@@ -39,19 +38,6 @@ class JobSpec:
     output: str
     toeplitz: bool = False
     m_max: int = 32
-
-
-def _default_max_depth() -> int:
-    raw = os.environ.get(ENV_MAX_DEPTH)
-    if raw is None:
-        return chain.DEFAULT_MAX_DEPTH
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ParseError(f"{ENV_MAX_DEPTH} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ParseError(f"{ENV_MAX_DEPTH} must be at least 1")
-    return value
 
 
 def _parse_matrix(doc: dict, key: str, d: int) -> IntMatrix:
@@ -77,6 +63,9 @@ def _parse_epsilon(raw) -> Fraction:
     if isinstance(raw, int):
         value = Fraction(raw)
     elif isinstance(raw, float):
+        # json reads 1e400, Infinity and NaN as non-finite floats
+        if not math.isfinite(raw):
+            raise ParseError(f"epsilon must be finite, got {raw!r}")
         value = Fraction(str(raw))
     elif isinstance(raw, str):
         try:
@@ -113,7 +102,7 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
     else:
         d = d if isinstance(d, int) else 0
         f = g = None
-    max_depth = doc.get("max_depth", _default_max_depth())
+    max_depth = doc.get("max_depth", chain.DEFAULT_MAX_DEPTH)
     if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
         raise ParseError("max_depth must be a positive integer")
     epsilon = _parse_epsilon(doc.get("epsilon", "1/1000"))
@@ -259,10 +248,7 @@ def _run_line(args: tuple[str, str]) -> tuple[int, str]:
     try:
         job = parse_job(line, default_format)
     except QsimpError as exc:
-        return EXIT_ERROR, json.dumps(
-            {"status": "Error", "error": exc.code, "message": str(exc)},
-            separators=(",", ":"),
-        )
+        return EXIT_ERROR, _serialize_error(exc, default_format)
     return run(job)
 
 

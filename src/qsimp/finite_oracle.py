@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from .errors import SingularMatrix
+
 SCOPE_NOTE = (
     "finite-group specialization of the compact-group minimality criterion; "
     "verified exhaustively, not assumed"
@@ -229,7 +231,7 @@ def density_1d(f: int, g: int, depth: int, epsilon: Fraction) -> GapResult:
     both chains is a definitive negative.
     """
     if f == 0 or g == 0:
-        raise ValueError("f and g must be nonzero")
+        raise SingularMatrix("f and g must be nonzero")
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

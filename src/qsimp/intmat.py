@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConsistencyError, SingularMatrix
+from .errors import SingularMatrix
 
 
 class IntMatrix:
@@ -63,9 +63,6 @@ class IntMatrix:
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.dim))
-
-    def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.dim)
 
     def is_diagonal(self) -> bool:
         return all(
@@ -177,10 +174,6 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     return IntMatrix(adj)
 
 
-def is_unimodular(m: IntMatrix) -> bool:
-    return abs(det(m)) == 1
-
-
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1."""
     dt = det(m)
@@ -247,24 +240,6 @@ def hnf_rows(rows: Sequence[Sequence[int]], dim: int, modulus: int) -> IntMatrix
             if q:
                 _row_axpy(h, i, c, q)
     return IntMatrix(h)
-
-
-def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """(h, u) with u unimodular and h = u @ m in row Hermite normal form.
-
-    h comes from hnf_rows with modulus |det m|, since |det m| * Z^d lies in
-    the row lattice of m; u is then h @ m^-1 = h @ adj(m) / det(m), exactly.
-    """
-    dt = det(m)
-    if dt == 0:
-        raise SingularMatrix("hnf requires a nonsingular matrix")
-    h = hnf_rows(m.rows, m.dim, abs(dt))
-    u = []
-    for row in (h @ adjugate(m)).rows:
-        if any(x % dt for x in row):
-            raise ConsistencyError("hnf transform is not integral")
-        u.append([x // dt for x in row])
-    return h, IntMatrix(u)
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
@@ -364,17 +339,3 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     v = unimodular_inverse(IntMatrix(c_acc))
     return SmithDecomposition(u, IntMatrix(a), v)
 
-
-def mod_inverse_reduced(b: int, a: int) -> int:
-    """c with (b/k)*c = 1 mod (a/k) where k = gcd(a, b), 0 <= c < a/k.
-
-    Degenerate modulus a/k = 1 returns 0 by convention; every residue works
-    there.
-    """
-    if a <= 0:
-        raise ValueError("modulus a must be positive")
-    k = math.gcd(a, b)
-    a_red = a // k
-    if a_red == 1:
-        return 0
-    return pow((b // k) % a_red, -1, a_red)

@@ -138,10 +138,6 @@ def contains(l: RationalLattice, x: Sequence) -> bool:
     return _member_rows(l.basis, v)
 
 
-def equals(l1: RationalLattice, l2: RationalLattice) -> bool:
-    return l1 == l2
-
-
 def _member_rows(basis: IntMatrix, v: list[int]) -> bool:
     # back-substitution against an upper-triangular HNF row basis
     v = list(v)
@@ -217,9 +213,3 @@ def sublattice_transform(m: IntegerSublattice, t: IntMatrix) -> IntegerSublattic
     # [Z^d : T M] = |det T| * [Z^d : M]
     return IntegerSublattice(m.dim, hnf_rows(rows, m.dim, sublattice_index(m) * abs(dt)))
 
-
-def sublattice_intersect(m1: IntegerSublattice, m2: IntegerSublattice) -> IntegerSublattice:
-    """M1 and M2 meet where their duals join."""
-    if m1.dim != m2.dim:
-        raise DimensionMismatch("intersection of different dimensions")
-    return dual_annihilator(join(dual_lattice(m1), dual_lattice(m2)))

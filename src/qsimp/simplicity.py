@@ -41,22 +41,6 @@ class Hypotheses:
     condition_L: Optional[bool]
     both_automorphisms: bool
 
-    @property
-    def f_injective(self) -> bool:
-        return abs(self.det_f) == 1
-
-    @property
-    def g_injective(self) -> bool:
-        return abs(self.det_g) == 1
-
-    @property
-    def f_surjective(self) -> bool:
-        return self.det_f != 0
-
-    @property
-    def g_surjective(self) -> bool:
-        return self.det_g != 0
-
 
 @dataclass
 class SimplicityVerdict:
@@ -96,11 +80,7 @@ def condition_L(f: IntMatrix, g: IntMatrix) -> Optional[bool]:
     df, dg = det(f), det(g)
     if df == 0 or dg == 0:
         raise SingularMatrix("condition (L) test needs nonsingular matrices")
-    if abs(dg) != 1:
-        return True
-    if abs(df) != 1:
-        return True
-    return None
+    return True if abs(dg) != 1 or abs(df) != 1 else None
 
 
 def _schur_stable(low_coeffs: list[int]) -> bool:
@@ -226,46 +206,32 @@ def decide(f: IntMatrix, g: IntMatrix) -> SimplicityVerdict:
         )
         return _verdict(NOT_SIMPLE, rules, hyp)
 
-    if abs(hyp.det_g) == 1:
-        cand = f @ unimodular_inverse(g)
-        if is_dilation(cand):
+    # R3, then R4, each tried on (F, G) and then on the swapped pair
+    pairs = (
+        (f, g, "F", "G", hyp.det_g, ""),
+        (g, f, "G", "F", hyp.det_f, " (pair swapped)"),
+    )
+    for a, b, name_a, name_b, det_b, _ in pairs:
+        if abs(det_b) == 1 and is_dilation(a @ unimodular_inverse(b)):
             rules.append(
                 (
                     "R3-dilation",
-                    "G unimodular and F G^{-1} a dilation matrix",
+                    f"{name_b} unimodular and {name_a} {name_b}^{{-1}} a dilation matrix",
                 )
             )
             return _verdict(SIMPLE, rules, hyp)
-    if abs(hyp.det_f) == 1:
-        cand = g @ unimodular_inverse(f)
-        if is_dilation(cand):
-            rules.append(
-                (
-                    "R3-dilation",
-                    "F unimodular and G F^{-1} a dilation matrix",
-                )
-            )
-            return _verdict(SIMPLE, rules, hyp)
-
-    n_f = _scalar_of(f)
-    if n_f is not None and (g.is_upper_triangular() or g.is_lower_triangular()):
-        if triangular_criterion(n_f, g):
+    for a, b, name_a, name_b, _, swapped in pairs:
+        n_a = _scalar_of(a)
+        if (
+            n_a is not None
+            and (b.is_upper_triangular() or b.is_lower_triangular())
+            and triangular_criterion(n_a, b)
+        ):
             rules.append(
                 (
                     "R4-triangular",
-                    f"F = {n_f} * I and G triangular with no diagonal entry "
-                    f"of modulus {n_f}",
-                )
-            )
-            return _verdict(SIMPLE, rules, hyp)
-    n_g = _scalar_of(g)
-    if n_g is not None and (f.is_upper_triangular() or f.is_lower_triangular()):
-        if triangular_criterion(n_g, f):
-            rules.append(
-                (
-                    "R4-triangular",
-                    f"G = {n_g} * I and F triangular with no diagonal entry "
-                    f"of modulus {n_g} (pair swapped)",
+                    f"{name_a} = {n_a} * I and {name_b} triangular with no "
+                    f"diagonal entry of modulus {n_a}{swapped}",
                 )
             )
             return _verdict(SIMPLE, rules, hyp)

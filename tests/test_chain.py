@@ -9,11 +9,9 @@ from qsimp import chain, cli
 from qsimp.chain import (
     DENSE,
     NOT_DENSE,
-    annihilator_step_neg,
     annihilator_step_pos,
     compute_chain,
     decide_density,
-    step_neg,
     step_pos,
 )
 from qsimp.errors import ConsistencyError, SingularMatrix
@@ -48,9 +46,10 @@ def test_step_pos_examples():
 
 
 def test_step_neg_examples():
-    assert step_neg(m1(2), m1(3), Z1) == HALF
-    assert step_neg(m1(2), m1(1), HALF) == QUARTER
-    assert step_neg(m1(1), m1(1), Z1) == Z1
+    # the backward level is the forward one with F and G swapped
+    assert step_pos(m1(3), m1(2), Z1) == HALF
+    assert step_pos(m1(1), m1(2), HALF) == QUARTER
+    assert step_pos(m1(1), m1(1), Z1) == Z1
 
 
 def test_step_rejects_singular():
@@ -119,8 +118,8 @@ def test_dual_recursion_consistency():
         lhs = dual_annihilator(step_pos(f, g, l))
         rhs = annihilator_step_pos(f, g, dual_annihilator(l))
         assert lhs == rhs
-        lhs_n = dual_annihilator(step_neg(f, g, l))
-        rhs_n = annihilator_step_neg(f, g, dual_annihilator(l))
+        lhs_n = dual_annihilator(step_pos(g, f, l))
+        rhs_n = annihilator_step_pos(g, f, dual_annihilator(l))
         assert lhs_n == rhs_n
 
 
@@ -151,11 +150,11 @@ def test_decide_density_fixed_point():
     assert v.status == NOT_DENSE
     assert v.witness == (2,)
     # the chain stabilizes at the annihilator 2Z, fixed by one more
-    # application of each step, and the witness generates it
+    # application of the step (with F = G both chains take the same one),
+    # and the witness generates it
     a = compute_chain(m1(2), m1(2), 4).annihilators[-1]
     assert a.basis == IntMatrix([[2]])
     assert annihilator_step_pos(m1(2), m1(2), a) == a
-    assert annihilator_step_neg(m1(2), m1(2), a) == a
 
 
 def test_decide_density_witness_annihilates_every_level():

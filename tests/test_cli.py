@@ -77,6 +77,90 @@ def test_run_decide_unknown_exit_2():
     assert run(job)[0] == 0
 
 
+# One pair per rule path of `decide`, with its exact json output line and the
+# rules line of its text output. They pin every reason string and the order
+# of the cascade, including the swapped-pair wording of R3 and R4.
+PINNED_DECIDE = [
+    (
+        [[-4, -1], [3, 1]],
+        [[2, 3], [-1, -1]],
+        0,
+        '{"status":"NotSimple","rules":["R1-automorphisms"],"hypotheses":{"det_f":-1,"det_g":1,"ker_f_size":1,"ker_g_size":1,"condition_L":null,"both_automorphisms":true},"kirchberg":false}',
+        "rules: ['R1-automorphisms: both matrices unimodular: the generated subgroup is trivial and never dense']",
+    ),
+    (
+        [[-3, 1], [0, -4]],
+        [[2, -3], [-1, 1]],
+        0,
+        '{"status":"Simple","rules":["R3-dilation"],"hypotheses":{"det_f":12,"det_g":-1,"ker_f_size":12,"ker_g_size":1,"condition_L":true,"both_automorphisms":false},"kirchberg":true}',
+        "rules: ['R3-dilation: G unimodular and F G^{-1} a dilation matrix']",
+    ),
+    (
+        [[1, -1], [0, 1]],
+        [[1, 2], [2, -2]],
+        0,
+        '{"status":"Simple","rules":["R3-dilation"],"hypotheses":{"det_f":1,"det_g":-6,"ker_f_size":1,"ker_g_size":6,"condition_L":true,"both_automorphisms":false},"kirchberg":true}',
+        "rules: ['R3-dilation: F unimodular and G F^{-1} a dilation matrix']",
+    ),
+    (
+        [[2, 0], [0, 2]],
+        [[3, 1], [0, 5]],
+        0,
+        '{"status":"Simple","rules":["R4-triangular"],"hypotheses":{"det_f":4,"det_g":15,"ker_f_size":4,"ker_g_size":15,"condition_L":true,"both_automorphisms":false},"kirchberg":true}',
+        "rules: ['R4-triangular: F = 2 * I and G triangular with no diagonal entry of modulus 2']",
+    ),
+    (
+        [[3, 1], [0, 5]],
+        [[2, 0], [0, 2]],
+        0,
+        '{"status":"Simple","rules":["R4-triangular"],"hypotheses":{"det_f":15,"det_g":4,"ker_f_size":15,"ker_g_size":4,"condition_L":true,"both_automorphisms":false},"kirchberg":true}',
+        "rules: ['R4-triangular: G = 2 * I and F triangular with no diagonal entry of modulus 2 (pair swapped)']",
+    ),
+    (
+        [[0, -3], [1, 0]],
+        [[-4, 1], [-3, 0]],
+        0,
+        '{"status":"Simple","rules":["R2-normalize","R4-triangular"],"hypotheses":{"det_f":3,"det_g":3,"ker_f_size":3,"ker_g_size":3,"condition_L":true,"both_automorphisms":false},"kirchberg":true}',
+        "rules: ['R2-normalize: reduced to (3 * I, D V U) through adj(F) and a Smith decomposition', 'R4-triangular: normalized partner triangular with no diagonal entry of modulus 3']",
+    ),
+    (
+        [[0, 1], [4, -4]],
+        [[3, -1], [-4, -2]],
+        0,
+        '{"status":"Simple","rules":["R2-normalize","R5-density"],"hypotheses":{"det_f":-4,"det_g":-10,"ker_f_size":4,"ker_g_size":10,"condition_L":true,"both_automorphisms":false},"kirchberg":true}',
+        'rules: [\'R2-normalize: reduced to (4 * I, D V U) through adj(F) and a Smith decomposition\', "R5-density: generated subgroup dense: no factor of a chain\'s characteristic polynomial is monic over Z, so no character survives it"]',
+    ),
+    (
+        [[1, 2], [-4, 3]],
+        [[-4, -2], [-1, -3]],
+        0,
+        '{"status":"NotSimple","rules":["R2-normalize","R5-density"],"witness":[17,1],"hypotheses":{"det_f":11,"det_g":10,"ker_f_size":11,"ker_g_size":10,"condition_L":true,"both_automorphisms":false},"kirchberg":false}',
+        "rules: ['R2-normalize: reduced to (11 * I, D V U) through adj(F) and a Smith decomposition', 'R5-density: generated subgroup not dense, witness character [17, 1]']",
+    ),
+    (
+        [[-3, 1], [3, -1]],
+        [[2, 4], [-3, -1]],
+        2,
+        '{"status":"Unknown","rules":["R0-scope"],"hypotheses":{"det_f":0,"det_g":10,"ker_f_size":null,"ker_g_size":10,"condition_L":null,"both_automorphisms":false},"kirchberg":false}',
+        "rules: ['R0-scope: zero determinant: the endomorphism is not onto, the criterion does not apply']",
+    ),
+
+]
+
+
+@pytest.mark.parametrize(
+    "f, g, code, json_line, text_rules",
+    PINNED_DECIDE,
+    ids=["R1", "R3-G-unimodular", "R3-F-unimodular", "R4-F-scalar", "R4-G-scalar", "R2-R4", "R5-Dense", "R5-NotDense", "R0"],
+)
+def test_decide_output_pinned(f, g, code, json_line, text_rules):
+    line = job_line(command="decide", d=2, F=f, G=g)
+    assert run(parse_job(line)) == (code, json_line)
+    text_code, text = run(parse_job(line, "text"))
+    assert text_code == code
+    assert text_rules in text.splitlines()
+
+
 def test_run_trace():
     job = parse_job(job_line(command="trace", d=1, F=[[2]], G=[[3]], max_depth=2))
     code, payload = run(job)
@@ -204,13 +288,52 @@ def test_main_jobs_2_matches_jobs_1(tmp_path, capsys):
     assert len(out_1.splitlines()) == 240
 
 
-def test_env_var_max_depth(tmp_path, monkeypatch):
-    monkeypatch.setenv("QS_MAX_DEPTH", "3")
-    job = parse_job(job_line(command="trace", d=1, F=[[2]], G=[[3]]))
-    assert job.max_depth == 3
+def test_env_var_max_depth_ignored(monkeypatch):
+    # max_depth is a job key only; the environment does not reach parse_job
     monkeypatch.setenv("QS_MAX_DEPTH", "zero")
-    with pytest.raises(ParseError):
-        parse_job(job_line(command="trace", d=1, F=[[2]], G=[[3]]))
+    job = parse_job(job_line(command="trace", d=1, F=[[2]], G=[[3]]))
+    assert job.max_depth == 24
+
+
+def _main_on(tmp_path, capsys, lines, *flags):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["--input", str(path), *flags])
+    return code, capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_oracle_zero_entry_is_an_error_line(tmp_path, capsys, jobs):
+    lines = [
+        job_line(command="oracle", d=1, F=[[0]], G=[[3]]),
+        job_line(command="oracle", d=1, F=[[2]], G=[[0]]),
+        job_line(command="decide", d=1, F=[[2]], G=[[3]]),
+    ]
+    code, out = _main_on(tmp_path, capsys, lines, "--jobs", jobs)
+    assert code == 1
+    assert [json.loads(l).get("error") for l in out] == [
+        "SingularMatrix", "SingularMatrix", None
+    ]
+    assert json.loads(out[2])["status"] == "Simple"
+
+
+def test_non_finite_epsilon_is_a_parse_error(tmp_path, capsys):
+    # json reads each of these as a non-finite float, which Fraction rejects
+    decide = '{"command":"decide","d":1,"F":[[2]],"G":[[3]],"epsilon":%s}'
+    lines = [decide % raw for raw in ("1e400", "Infinity", "NaN", "-Infinity")]
+    lines.append(job_line(command="decide", d=1, F=[[2]], G=[[3]]))
+    code, out = _main_on(tmp_path, capsys, lines)
+    assert code == 1
+    docs = [json.loads(l) for l in out]
+    assert [d.get("error") for d in docs] == ["ParseError"] * 4 + [None]
+    assert all("epsilon" in d["message"] for d in docs[:4])
+    assert docs[4]["status"] == "Simple"
+
+
+def test_parse_error_follows_format_text(tmp_path, capsys):
+    code, out = _main_on(tmp_path, capsys, ["not json"], "--format", "text")
+    assert code == 1
+    assert len(out) == 1 and out[0].startswith("error[ParseError]: ")
 
 
 def test_text_format():

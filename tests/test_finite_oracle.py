@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qsimp.errors import SingularMatrix
 from qsimp.finite_oracle import (
     FiniteQuiver,
     condition_L_finite,
@@ -135,5 +136,5 @@ def test_density_1d_gap_value():
 
 
 def test_density_1d_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularMatrix):
         density_1d(0, 2, 3, Fraction(1, 10))

