@@ -60,7 +60,6 @@ from .simplicity import (
     Hypotheses,
     SimplicityVerdict,
     check_hypotheses,
-    condition_L,
     decide,
     is_dilation,
     normalize,

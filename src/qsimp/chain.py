@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 from . import poly
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
-from .intmat import IntMatrix, adjugate, det
+from .intmat import IntMatrix, adjugate, charpoly, det
 from .lattice import (
     IntegerSublattice,
     RationalLattice,
@@ -78,7 +78,6 @@ def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
 
     step_pos(g, f, l) is the backward level, the F-preimage of the G-image.
     """
-    _check_pair(f, g)
     return preimage(g, pushforward(f, l))
 
 
@@ -145,7 +144,7 @@ def _obstruction_equations(side: _Side) -> Optional[IntMatrix]:
     G^T ker M = ker M adj(G)^T.
     """
     m = None
-    for p, mult in poly.factor(poly.charpoly(side.a))[1]:
+    for p, mult in poly.factor(charpoly(side.a))[1]:
         if all(x % side.c**i == 0 for i, x in enumerate(p)):
             pa = _evaluate(p, side.a)
             for _ in range(mult):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import chain, finite_oracle, presentation, simplicity
-from .errors import DimensionMismatch, ParseError, QsimpError
+from .errors import DimensionMismatch, InternalError, ParseError, QsimpError
 from .intmat import IntMatrix
 
 COMMANDS = ("decide", "trace", "present", "oracle", "sweep")
@@ -83,7 +83,9 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
     """Validate one job document; messages name the offending field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # interpreter's digit limit; RecursionError, nesting too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("job must be a JSON object")
@@ -174,7 +176,11 @@ def _decide_result(job: JobSpec) -> tuple[int, dict]:
 
 
 def run(job: JobSpec) -> tuple[int, str]:
-    """Execute one job; returns (exit code, serialized result)."""
+    """Execute one job; returns (exit code, serialized result).
+
+    Any failure, in the job or in serializing its result, becomes one Error
+    line; an exception outside the package taxonomy is reported as Internal.
+    """
     try:
         if job.command == "decide":
             code, result = _decide_result(job)
@@ -213,11 +219,14 @@ def run(job: JobSpec) -> tuple[int, str]:
             }
         else:  # pragma: no cover - parse_job forbids this
             raise ParseError(f"unknown command {job.command}")
+        if job.output == "text":
+            return code, _to_text(result)
+        return code, json.dumps(result, separators=(",", ":"))
     except QsimpError as exc:
         return EXIT_ERROR, _serialize_error(exc, job.output)
-    if job.output == "text":
-        return code, _to_text(result)
-    return code, json.dumps(result, separators=(",", ":"))
+    except Exception as exc:
+        internal = InternalError(f"{type(exc).__name__}: {exc}")
+        return EXIT_ERROR, _serialize_error(internal, job.output)
 
 
 def _serialize_error(exc: QsimpError, output: str) -> str:

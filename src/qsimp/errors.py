@@ -47,3 +47,10 @@ class ConsistencyError(QsimpError):
     """Two routes that must agree disagreed; indicates a bug, not bad input."""
 
     code = "ConsistencyError"
+
+
+class InternalError(QsimpError):
+    """A job failed with an exception outside this taxonomy; reported as an
+    Error line so the rest of the batch still runs."""
+
+    code = "Internal"

@@ -24,10 +24,6 @@ SCOPE_NOTE = (
     "verified exhaustively, not assumed"
 )
 
-# materialize subgroup points only up to this order; beyond it the cyclic
-# grid's largest gap is exactly 1/order
-_MATERIALIZE_LIMIT = 100_000
-
 
 @dataclass(frozen=True)
 class FiniteQuiver:
@@ -224,9 +220,9 @@ class GapResult:
 def density_1d(f: int, g: int, depth: int, epsilon: Fraction) -> GapResult:
     """Resolution-qualified density check on the circle.
 
-    Materializes the two subgroup chains as cyclic groups of explicit
-    rationals mod 1 and measures the largest gap of the group they
-    generate. A finite computation cannot certify topological density, so
+    Follows the orders of the two subgroup chains, cyclic groups of
+    rationals mod 1; the group they generate is the cyclic group of the
+    lcm order, whose points {k/order} have largest gap 1/order. A finite computation cannot certify topological density, so
     the best positive answer is dense-at-resolution; exact stabilization of
     both chains is a definitive negative.
     """
@@ -250,14 +246,7 @@ def density_1d(f: int, g: int, depth: int, epsilon: Fraction) -> GapResult:
     neg = orders(ga, fa)
     stabilized = depth >= 1 and pos[-1] == pos[-2] and neg[-1] == neg[-2]
     order = math.lcm(pos[-1], neg[-1])
-    if order <= _MATERIALIZE_LIMIT:
-        points = sorted(Fraction(k, order) for k in range(order))
-        gap = max(
-            points[(i + 1) % order] + (1 if i + 1 == order else 0) - points[i]
-            for i in range(order)
-        )
-    else:
-        gap = Fraction(1, order)
+    gap = Fraction(1, order)
     if stabilized:
         return GapResult("not_dense", gap, depth, order)
     if gap < epsilon:

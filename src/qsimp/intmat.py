@@ -1,4 +1,5 @@
-"""Exact integer matrix algebra: determinants, adjugates, normal forms.
+"""Exact integer matrix algebra: determinants, characteristic polynomials,
+adjugates, normal forms.
 
 Everything here runs on Python's arbitrary-precision integers and never
 touches floating point. The chain iteration downstream can square
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import SingularMatrix
+from .errors import ConsistencyError, SingularMatrix
 
 
 class IntMatrix:
@@ -61,9 +62,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch in matrix-vector product")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim))
-
     def is_diagonal(self) -> bool:
         return all(
             self.rows[i][j] == 0 for i in range(self.dim) for j in range(self.dim) if i != j
@@ -108,26 +106,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, (g - b * y) // a, y
 
 
-def _det_cofactor(rows) -> int:
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    if d == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    rest = rows[1:]
-    for j in range(d):
-        if rows[0][j] == 0:
-            continue
-        minor = [[row[k] for k in range(d) if k != j] for row in rest]
-        term = rows[0][j] * _det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
-def _det_bareiss(rows) -> int:
-    # Fraction-free elimination; every division below is exact.
-    a = [list(r) for r in rows]
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination (Math. Comp.
+    22, 1968); every division below is exact."""
+    a = [list(r) for r in m.rows]
     d = len(a)
     sign = 1
     prev = 1
@@ -148,38 +130,54 @@ def _det_bareiss(rows) -> int:
     return sign * a[-1][-1]
 
 
-def _det_rows(rows) -> int:
-    return _det_cofactor(rows) if len(rows) <= 4 else _det_bareiss(rows)
+def _faddeev_leverrier(m: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """(coefficients of det(xI - m), highest degree first; adj(m)).
+
+    With M_1 = m, c_k = -tr(M_k) / k, N_(k+1) = M_k + c_k I and
+    M_(k+1) = m N_(k+1), the c_k are the coefficients after the leading 1.
+    By Cayley-Hamilton m N_d = -c_d I, so c_d is one entry of that product
+    and adj(m) = (-1)^(d+1) N_d, singular m included. The division by k is
+    exact over Z.
+    """
+    a = m.rows
+    d = len(a)
+    coeffs = [1]
+    n = [[int(i == j) for j in range(d)] for i in range(d)]
+    mk = a
+    for k in range(1, d):
+        tr = sum(mk[i][i] for i in range(d))
+        if tr % k:
+            raise ConsistencyError("Faddeev-LeVerrier trace not divisible")
+        c = -(tr // k)
+        coeffs.append(c)
+        n = [list(row) for row in mk]
+        for i in range(d):
+            n[i][i] += c
+        if k + 1 < d:
+            cols = list(zip(*n))
+            mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    coeffs.append(-sum(x * row[0] for x, row in zip(a[0], n)))
+    sign = 1 if d % 2 else -1
+    return coeffs, IntMatrix([[sign * x for x in row] for row in n])
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant; cofactor expansion up to 4x4, Bareiss above."""
-    return _det_rows(m.rows)
+def charpoly(m: IntMatrix) -> list[int]:
+    """Monic characteristic polynomial det(xI - m), highest degree first."""
+    return _faddeev_leverrier(m)[0]
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:
-    """The adj with m @ adj == det(m) * I, via signed minors."""
-    d = m.dim
-    if d == 1:
-        return IntMatrix([[1]])
-    rows = m.rows
-    adj = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = [
-                [rows[r][c] for c in range(d) if c != j] for r in range(d) if r != i
-            ]
-            cof = _det_rows(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return IntMatrix(adj)
+    """The adj with m @ adj == det(m) * I."""
+    return _faddeev_leverrier(m)[1]
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1."""
-    dt = det(m)
+    coeffs, adj = _faddeev_leverrier(m)
+    # det(m) = (-1)^d c_d
+    dt = coeffs[-1] if m.dim % 2 == 0 else -coeffs[-1]
     if abs(dt) != 1:
         raise ValueError("matrix is not unimodular")
-    adj = adjugate(m)
     if dt == 1:
         return adj
     return IntMatrix([[-x for x in row] for row in adj.rows])

@@ -1,4 +1,4 @@
-"""Integer polynomials: characteristic polynomials and factorisation over Z.
+"""Integer polynomials: factorisation over Z.
 
 A polynomial is a list of integer coefficients, highest degree first, with
 no leading zeros; [1, 0, -2] is x^2 - 2. `factor` is the classical
@@ -17,34 +17,8 @@ import random
 from itertools import combinations
 from typing import Sequence
 
-from .errors import ConsistencyError
-from .intmat import IntMatrix
-
 # divisor candidates tried before leaving integer roots to the modular path
 _ROOT_SEARCH_LIMIT = 1 << 14
-
-
-def charpoly(m: IntMatrix) -> list[int]:
-    """Monic characteristic polynomial det(xI - m), highest degree first.
-
-    Faddeev-LeVerrier recursion; the division by k is exact over Z.
-    """
-    d = m.dim
-    coeffs = [1]
-    mk = IntMatrix.scalar(d, 0)
-    for k in range(1, d + 1):
-        shift = IntMatrix.diagonal([coeffs[-1]] * d)
-        mk = m @ IntMatrix(
-            [
-                [mk.rows[i][j] + shift.rows[i][j] for j in range(d)]
-                for i in range(d)
-            ]
-        )
-        tr = mk.trace()
-        if tr % k:
-            raise ConsistencyError("Faddeev-LeVerrier trace not divisible")
-        coeffs.append(-(tr // k))
-    return coeffs
 
 
 def factor(f: Sequence[int]) -> tuple[int, list[tuple[list[int], int]]]:

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import chain as _chain
-from . import poly
 from .errors import DimensionMismatch, NotTriangular, SingularMatrix
-from .intmat import IntMatrix, adjugate, det, snf, unimodular_inverse
+from .intmat import IntMatrix, adjugate, charpoly, det, snf, unimodular_inverse
 
 SIMPLE = "Simple"
 NOT_SIMPLE = "NotSimple"
@@ -56,31 +55,22 @@ def check_hypotheses(f: IntMatrix, g: IntMatrix) -> Hypotheses:
     """Determinants, kernel sizes, and the injectivity bookkeeping.
 
     Kernel sizes are |det|, finite exactly when the determinant is nonzero;
-    zero determinants are reported rather than raised.
+    zero determinants are reported rather than raised. Condition (L), every
+    loop has an exit, holds once both maps are onto with finite kernels and
+    one of them is not injective; it is None otherwise, since the loop
+    quiver of a pair of automorphisms genuinely fails it and a singular
+    pair is out of scope.
     """
     df, dg = det(f), det(g)
+    both_automorphisms = abs(df) == 1 and abs(dg) == 1
     return Hypotheses(
         det_f=df,
         det_g=dg,
         ker_f_size=abs(df) if df != 0 else None,
         ker_g_size=abs(dg) if dg != 0 else None,
-        condition_L=condition_L(f, g) if df != 0 and dg != 0 else None,
-        both_automorphisms=abs(df) == 1 and abs(dg) == 1,
+        condition_L=True if df and dg and not both_automorphisms else None,
+        both_automorphisms=both_automorphisms,
     )
-
-
-def condition_L(f: IntMatrix, g: IntMatrix) -> Optional[bool]:
-    """Every loop has an exit, or None when that is not decidable here.
-
-    True when G is not injective, and also when F is not injective (both
-    maps are onto with finite kernels once determinants are nonzero). Both
-    matrices unimodular leaves the question open: the loop quiver of a pair
-    of automorphisms genuinely fails the condition, so no default is safe.
-    """
-    df, dg = det(f), det(g)
-    if df == 0 or dg == 0:
-        raise SingularMatrix("condition (L) test needs nonsingular matrices")
-    return True if abs(dg) != 1 or abs(df) != 1 else None
 
 
 def _schur_stable(low_coeffs: list[int]) -> bool:
@@ -106,11 +96,10 @@ def is_dilation(f: IntMatrix) -> bool:
 
     The reversed characteristic polynomial has the reciprocal roots, so the
     question becomes Schur stability of an integer polynomial; no floating
-    point enters the decision.
+    point enters the decision. A singular f has the root 0, which the
+    reduction rejects at once.
     """
-    if det(f) == 0:
-        return False
-    high_first = poly.charpoly(f)
+    high_first = charpoly(f)
     # x^d * p(1/x) has exactly these numbers as low-to-high coefficients
     return _schur_stable(high_first)
 

@@ -14,7 +14,7 @@ from qsimp.chain import (
     decide_density,
     step_pos,
 )
-from qsimp.errors import ConsistencyError, SingularMatrix
+from qsimp.errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from qsimp.finite_oracle import density_1d
 from qsimp.intmat import IntMatrix
 from qsimp.lattice import (
@@ -55,6 +55,10 @@ def test_step_neg_examples():
 def test_step_rejects_singular():
     with pytest.raises(SingularMatrix):
         step_pos(m1(0), m1(1), Z1)
+    with pytest.raises(SingularMatrix):
+        step_pos(m1(2), m1(0), Z1)
+    with pytest.raises(DimensionMismatch):
+        step_pos(m1(2), IntMatrix.diagonal([3, 1]), Z1)
 
 
 def test_compute_chain_2_3():

@@ -330,6 +330,36 @@ def test_non_finite_epsilon_is_a_parse_error(tmp_path, capsys):
     assert docs[4]["status"] == "Simple"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unparseable_json_is_a_parse_error_line(tmp_path, capsys, jobs):
+    # json.loads raises a plain ValueError past the interpreter's
+    # integer-digit limit and RecursionError on very deep nesting
+    huge = '{"command":"decide","d":1,"F":[[%s]],"G":[[3]]}' % ("9" * 4400)
+    lines = [huge, "[" * 100_000, job_line(command="decide", d=1, F=[[2]], G=[[3]])]
+    code, out = _main_on(tmp_path, capsys, lines, "--jobs", jobs)
+    assert code == 1
+    docs = [json.loads(l) for l in out]
+    assert [d.get("error") for d in docs] == ["ParseError", "ParseError", None]
+    assert docs[2]["status"] == "Simple"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unexpected_exception_is_an_internal_error_line(tmp_path, capsys, jobs):
+    # level-5 denominators of 10^5000 pass the digit limit of json.dumps
+    # and of str()
+    trace = '{"command":"trace","d":1,"F":[[2]],"G":[[1%s]],"max_depth":5%%s}' % ("0" * 1000)
+    lines = [trace % "", trace % ',"output":"text"',
+             job_line(command="decide", d=1, F=[[2]], G=[[3]])]
+    code, out = _main_on(tmp_path, capsys, lines, "--jobs", jobs)
+    assert code == 1
+    assert len(out) == 3
+    doc = json.loads(out[0])
+    assert (doc["status"], doc["error"]) == ("Error", "Internal")
+    assert doc["message"].startswith("ValueError: ")
+    assert out[1].startswith("error[Internal]: ValueError: ")
+    assert json.loads(out[2])["status"] == "Simple"
+
+
 def test_parse_error_follows_format_text(tmp_path, capsys):
     code, out = _main_on(tmp_path, capsys, ["not json"], "--format", "text")
     assert code == 1

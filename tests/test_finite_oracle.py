@@ -133,6 +133,11 @@ def test_density_1d_gap_value():
     r = density_1d(2, 3, 1, Fraction(1, 1000))
     assert r.status == "gap"
     assert r.gap == Fraction(1, 6)
+    # deep 2-power grids, of order 2^16 and 2^17: still gap 1/order
+    for depth, order in ((15, 65536), (16, 131072)):
+        r = density_1d(2, 4, depth, Fraction(1, 1000))
+        assert r.status == "dense_at_resolution"
+        assert (r.subgroup_order, r.gap) == (order, Fraction(1, order))
 
 
 def test_density_1d_rejects_zero():

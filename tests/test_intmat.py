@@ -53,7 +53,7 @@ def test_adjugate_examples():
     assert IntMatrix.diagonal([2, 3]) @ adj == IntMatrix.scalar(2, 6)
 
 
-@given(small_matrices(max_dim=4))
+@given(small_matrices(max_dim=6))
 @settings(max_examples=150, deadline=None)
 def test_adjugate_identity(m):
     assert m @ adjugate(m) == IntMatrix.scalar(m.dim, det(m))
@@ -184,6 +184,6 @@ def test_is_unimodular():
 def test_unimodular_inverse():
     rng = seeded(11)
     for _ in range(40):
-        d = rng.randint(1, 4)
+        d = rng.randint(1, 6)
         w = rand_unimodular(rng, d)
         assert w @ unimodular_inverse(w) == IntMatrix.identity(d)

@@ -1,8 +1,8 @@
 import pytest
 
 from helpers import rand_matrix, seeded
-from qsimp.intmat import IntMatrix
-from qsimp.poly import _factor_mod, _mul, charpoly, factor
+from qsimp.intmat import IntMatrix, charpoly
+from qsimp.poly import _factor_mod, _mul, factor
 
 
 def corpus():
@@ -73,7 +73,7 @@ def test_charpoly_matches_sympy():
     x = sympy.symbols("x")
     rng = seeded(137)
     for _ in range(30):
-        m = rand_matrix(rng, rng.randint(1, 5), -6, 6)
+        m = rand_matrix(rng, rng.randint(1, 6), -6, 6)
         want = sympy.Matrix([list(r) for r in m.rows]).charpoly(x).all_coeffs()
         assert charpoly(m) == [int(c) for c in want]
     assert charpoly(IntMatrix([[2, 1], [0, 3]])) == [1, -5, 6]

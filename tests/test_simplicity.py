@@ -10,7 +10,6 @@ from qsimp.simplicity import (
     SIMPLE,
     UNKNOWN,
     check_hypotheses,
-    condition_L,
     decide,
     is_dilation,
     normalize,
@@ -43,11 +42,12 @@ def test_check_hypotheses_zero_det_reported():
 
 
 def test_condition_L():
-    assert condition_L(m1(2), m1(3)) is True
-    assert condition_L(m1(2), m1(1)) is True
-    assert condition_L(m1(1), m1(1)) is None
-    with pytest.raises(SingularMatrix):
-        condition_L(m1(0), m1(1))
+    assert check_hypotheses(m1(2), m1(3)).condition_L is True
+    assert check_hypotheses(m1(2), m1(1)).condition_L is True
+    assert check_hypotheses(m1(-1), m1(6)).condition_L is True
+    assert check_hypotheses(m1(1), m1(-1)).condition_L is None
+    assert check_hypotheses(m1(0), m1(1)).condition_L is None
+    assert check_hypotheses(m1(2), m1(0)).condition_L is None
 
 
 def test_is_dilation_examples():
@@ -63,6 +63,7 @@ def test_is_dilation_boundary_cases():
     assert is_dilation(IntMatrix([[0, 2], [1, 0]]))  # +-sqrt(2)
     assert not is_dilation(IntMatrix([[0, 1], [1, 1]]))  # golden ratio pair
     assert not is_dilation(IntMatrix([[0]]))
+    assert not is_dilation(IntMatrix([[2, 4], [1, 2]]))  # singular: eigenvalue 0
 
 
 def test_is_dilation_against_numpy_eigenvalues():
