@@ -5,7 +5,15 @@ starts at Z^d and repeatedly takes the G-preimage of the F-image; the
 backward chain swaps the roles. The group the two chains generate is dense
 in the torus exactly when the annihilators of the level joins shrink to
 nothing. `compute_chain` builds the levels; `decide_density` settles the
-limit by algebra, with no depth or search budget:
+limit by algebra, with no depth or search budget.
+
+One level is a single lattice canonicalisation: G^{-1}(F L + Z^d) equals
+G^{-1} F L + G^{-1} Z^d, so with L = span(B)/D it is spanned, over the
+denominator D |det G|, by the rows of B F^T adj(G)^T and of D adj(G)^T.
+The Z^d that the canonical form adds lies in G^{-1} Z^d already. The
+matrices that depend only on the pair are computed once per pair.
+
+The density decision:
 
 * a character m annihilates every forward level exactly when y = G^{-T} m
   is integral and D^k y stays integral for every k, where D = (F G^{-1})^T;
@@ -21,6 +29,7 @@ limit by algebra, with no depth or search budget:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -33,9 +42,9 @@ from .lattice import (
     RationalLattice,
     dual_annihilator,
     dual_lattice,
+    from_rational_rows,
     index,
     join,
-    preimage,
     pushforward,
     standard,
     sublattice_transform,
@@ -66,19 +75,47 @@ class DensityVerdict:
     reason: str
 
 
-def _check_pair(f: IntMatrix, g: IntMatrix) -> None:
+class _Side(NamedTuple):
+    """One chain's data for a pair (F, G): D = a / c and G^{-T} = adj_t / c,
+    and the row map `step` = F^T adj(G)^T of a level."""
+
+    a: IntMatrix
+    adj_t: IntMatrix
+    c: int
+    step: IntMatrix
+
+
+@functools.lru_cache(maxsize=8)
+def _sides(f: IntMatrix, g: IntMatrix) -> tuple[_Side, _Side]:
+    """Check the pair and return the forward and the backward side.
+
+    Each matrix's det and adjugate is computed once; the cache keeps a few
+    pairs, so a chain's calls in both orientations hit it.
+    """
     if f.dim != g.dim:
         raise DimensionMismatch("F and G must have equal dimensions")
-    if det(f) == 0 or det(g) == 0:
+    df, dg = det(f), det(g)
+    if df == 0 or dg == 0:
         raise SingularMatrix("chain iteration needs nonsingular F and G")
+    f_t, g_t = f.transpose(), g.transpose()
+    adj_f_t, adj_g_t = adjugate(f).transpose(), adjugate(g).transpose()
+    return (
+        _Side(adj_g_t @ f_t, adj_g_t, dg, f_t @ adj_g_t),
+        _Side(adj_f_t @ g_t, adj_f_t, df, g_t @ adj_f_t),
+    )
 
 
 def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
-    """One forward level: G-preimage of the F-image.
+    """One forward level: G-preimage of the F-image, in one canonicalisation.
 
     step_pos(g, f, l) is the backward level, the F-preimage of the G-image.
     """
-    return preimage(g, pushforward(f, l))
+    if l.dim != f.dim:
+        raise DimensionMismatch("lattice and matrices differ in dimension")
+    side = _sides(f, g)[0]
+    rows = (l.basis @ side.step).rows
+    rows += tuple(tuple(l.denom * x for x in row) for row in side.adj_t.rows)
+    return from_rational_rows(l.dim, l.denom * abs(side.c), rows)
 
 
 def annihilator_step_pos(f: IntMatrix, g: IntMatrix, m: IntegerSublattice) -> IntegerSublattice:
@@ -87,14 +124,14 @@ def annihilator_step_pos(f: IntMatrix, g: IntMatrix, m: IntegerSublattice) -> In
     Derived from <m, G^{-1} y> = <G^{-T} m, y>; must agree with
     dual_annihilator(step_pos(f, g, dual of M)), which the tests enforce.
     """
-    _check_pair(f, g)
+    _sides(f, g)  # raises on a mismatched or singular pair
     inter = dual_annihilator(pushforward(f, dual_lattice(m)))
     return sublattice_transform(inter, g.transpose())
 
 
 def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
     """Fill every level 0..depth; no early exit."""
-    _check_pair(f, g)
+    _sides(f, g)  # raises on a mismatched or singular pair
     if depth < 1:
         raise ValueError("depth must be at least 1")
     z = standard(f.dim)
@@ -108,19 +145,6 @@ def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
         annihilators.append(dual_annihilator(lam))
         indices.append(index(lam))
     return ChainTrace(depth, pos, neg, joins, annihilators, indices)
-
-
-class _Side(NamedTuple):
-    """One chain's elimination data: D = a / c and G^{-T} = adj_t / c."""
-
-    a: IntMatrix
-    adj_t: IntMatrix
-    c: int
-
-
-def _side(f: IntMatrix, g: IntMatrix) -> _Side:
-    adj_t = adjugate(g).transpose()
-    return _Side(adj_t @ f.transpose(), adj_t, det(g))
 
 
 def _evaluate(p: list[int], a: IntMatrix) -> IntMatrix:
@@ -211,9 +235,8 @@ def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
     degree at most d (Cayley-Hamilton), so e v stays integral at every
     step and lies in every annihilator; it is re-checked at step d.
     """
-    _check_pair(f, g)
+    sides = _sides(f, g)
     d = f.dim
-    sides = (_side(f, g), _side(g, f))
     equations = []
     for side in sides:
         n = _obstruction_equations(side)

@@ -26,6 +26,15 @@ class IntMatrix:
             raise ValueError("matrix must be non-empty and square")
         object.__setattr__(self, "rows", clean)
 
+    @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Trusted constructor for the results of this module's own
+        arithmetic: rows must already be a non-empty square tuple of int
+        tuples, so nothing is converted or checked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -46,15 +55,15 @@ class IntMatrix:
         return IntMatrix.diagonal([c] * d)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.rows)))
+        return IntMatrix._of(tuple(zip(*self.rows)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
         cols = list(zip(*other.rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        return IntMatrix._of(tuple(
+            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows
+        ))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -158,7 +167,7 @@ def _faddeev_leverrier(m: IntMatrix) -> tuple[list[int], IntMatrix]:
             mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
     coeffs.append(-sum(x * row[0] for x, row in zip(a[0], n)))
     sign = 1 if d % 2 else -1
-    return coeffs, IntMatrix([[sign * x for x in row] for row in n])
+    return coeffs, IntMatrix._of(tuple(tuple(sign * x for x in row) for row in n))
 
 
 def charpoly(m: IntMatrix) -> list[int]:
@@ -180,7 +189,7 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
         raise ValueError("matrix is not unimodular")
     if dt == 1:
         return adj
-    return IntMatrix([[-x for x in row] for row in adj.rows])
+    return IntMatrix._of(tuple(tuple(-x for x in row) for row in adj.rows))
 
 
 def _row_axpy(mat, i: int, k: int, q: int) -> None:
@@ -206,8 +215,8 @@ def hnf_rows(rows: Sequence[Sequence[int]], dim: int, modulus: int) -> IntMatrix
     column c; entries right of column c are then reduced modulo `modulus`,
     which only adds vectors of modulus * Z^dim.
     """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
+    if modulus <= 0 or dim <= 0:
+        raise ValueError("modulus and dim must be positive")
     if any(len(row) != dim for row in rows):
         raise ValueError("rows must have length dim")
     # live rows keep only the columns from c on
@@ -237,7 +246,7 @@ def hnf_rows(rows: Sequence[Sequence[int]], dim: int, modulus: int) -> IntMatrix
             q = h[i][c] // p
             if q:
                 _row_axpy(h, i, c, q)
-    return IntMatrix(h)
+    return IntMatrix._of(tuple(map(tuple, h)))
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:

@@ -52,7 +52,7 @@ def _canonical(dim: int, denom: int, int_rows: Sequence[Sequence[int]]) -> Ratio
             g = math.gcd(g, x)
     if g > 1:
         # dividing an HNF matrix by a common factor keeps it in HNF
-        h = IntMatrix([[x // g for x in row] for row in h.rows])
+        h = IntMatrix._of(tuple(tuple(x // g for x in row) for row in h.rows))
         denom //= g
     return RationalLattice(dim, denom, h)
 
@@ -153,24 +153,33 @@ def _member_rows(basis: IntMatrix, v: list[int]) -> bool:
     return True
 
 
+def _scaled_inverse_columns(b: IntMatrix, s: int) -> list[list[int]]:
+    """Columns of s * B^{-1}, i.e. the rows of s * B^{-T}, for an
+    upper-triangular B with nonzero diagonal, by back-substitution.
+
+    Raises ConsistencyError when s * B^{-1} is not integral.
+    """
+    d = b.dim
+    rows = b.rows
+    cols = []
+    for j in range(d):
+        x = [0] * d
+        for i in range(j, -1, -1):
+            num = (s if i == j else 0) - sum(rows[i][k] * x[k] for k in range(i + 1, j + 1))
+            if num % rows[i][i]:
+                raise ConsistencyError("inverse basis is not integral")
+            x[i] = num // rows[i][i]
+        cols.append(x)
+    return cols
+
+
 def dual_annihilator(l: RationalLattice) -> IntegerSublattice:
     """Characters m in Z^d with <m, L> <= Z.
 
     With B the basis of D*L, the annihilator is the column lattice of
     D*B^{-1}, which is integral precisely because D*Z^d <= D*L.
     """
-    b = l.basis
-    dt = _diagonal_product(b)
-    adj_t = adjugate(b).transpose()
-    rows = []
-    for row in adj_t.rows:
-        out = []
-        for x in row:
-            num = l.denom * x
-            if num % dt:
-                raise ConsistencyError("annihilator basis is not integral")
-            out.append(num // dt)
-        rows.append(out)
+    rows = _scaled_inverse_columns(l.basis, l.denom)
     # D*Z^d lies in the annihilator because L lies in Z^d / D
     return IntegerSublattice(l.dim, hnf_rows(rows, l.dim, l.denom))
 
@@ -178,10 +187,12 @@ def dual_annihilator(l: RationalLattice) -> IntegerSublattice:
 def dual_lattice(m: IntegerSublattice) -> RationalLattice:
     """The rational lattice of vectors pairing integrally with M.
 
-    Inverse of dual_annihilator: dual_lattice(dual_annihilator(l)) == l.
+    That is the column lattice of M^{-1}, with M the upper-triangular
+    basis; n*M^{-1} is integral for n = [Z^d : M] = det M. Inverse of
+    dual_annihilator: dual_lattice(dual_annihilator(l)) == l.
     """
-    rows = adjugate(m.basis.transpose()).rows
-    return _canonical(m.dim, sublattice_index(m), rows)
+    n = sublattice_index(m)
+    return _canonical(m.dim, n, _scaled_inverse_columns(m.basis, n))
 
 
 def sublattice_from_rows(dim: int, rows: Sequence[Sequence[int]]) -> IntegerSublattice:

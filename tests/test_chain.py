@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,13 @@ from qsimp.chain import (
 )
 from qsimp.errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from qsimp.finite_oracle import density_1d
-from qsimp.intmat import IntMatrix
+from qsimp.intmat import IntMatrix, det
 from qsimp.lattice import (
     dual_annihilator,
     from_rational_rows,
     join,
+    preimage,
+    pushforward,
     standard,
     sublattice_contains,
     sublattice_from_rows,
@@ -125,6 +128,37 @@ def test_dual_recursion_consistency():
         lhs_n = dual_annihilator(step_pos(g, f, l))
         rhs_n = annihilator_step_pos(g, f, dual_annihilator(l))
         assert lhs_n == rhs_n
+
+
+def test_fused_step_matches_pushforward_then_preimage():
+    rng = seeded(47)
+    signs = set()
+    for _ in range(160):
+        d = rng.randint(1, 4)
+        f = rand_nonsingular(rng, d, -4, 4)
+        g = rand_nonsingular(rng, d, -4, 4)
+        signs.add(det(g) > 0)
+        rows = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(rng.randint(1, d + 1))]
+        l = from_rational_rows(d, rng.randint(1, 12), rows)
+        assert step_pos(f, g, l) == preimage(g, pushforward(f, l))
+    assert signs == {True, False}
+    with pytest.raises(DimensionMismatch):
+        step_pos(m1(2), m1(3), standard(2))
+
+
+def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
+    calls = Counter()
+    for name in ("det", "adjugate"):
+        def counted(m, orig=getattr(chain, name), name=name):
+            calls[name, m] += 1
+            return orig(m)
+
+        monkeypatch.setattr(chain, name, counted)
+    chain._sides.cache_clear()
+    f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
+    decide_density(f, g)
+    assert set(calls) == {(n, m) for n in ("det", "adjugate") for m in (f, g)}
+    assert max(calls.values()) == 1
 
 
 def annihilates_every_level(f, g, witness, depth=30):

@@ -80,6 +80,9 @@ def test_hnf_singular_rejected():
     for modulus in (0, -3):
         with pytest.raises(ValueError):
             hnf_rows([[1, 0], [0, 1]], 2, modulus)
+    # the result is built without the public constructor's checks
+    with pytest.raises(ValueError):
+        hnf_rows([], 0, 1)
 
 
 def _assert_hnf_shape(h):
@@ -146,6 +149,19 @@ def test_hnf_rows_modular_matches_minor_oracle():
         assert det(h) == _minor_gcd(rows + scaled, d)
         if index:
             assert det(h) == index
+
+
+def test_internal_results_equal_public_construction():
+    m = IntMatrix([[2, -1, 0], [3, 5, 1], [0, 4, -2]])
+    results = (m @ m, m.transpose(), adjugate(m), hnf_rows(m.rows, 3, abs(det(m))))
+    for result in results:
+        rebuilt = IntMatrix([list(row) for row in result.rows])
+        assert result == rebuilt and hash(result) == hash(rebuilt)
+        assert type(result.rows) is tuple
+        assert all(type(row) is tuple for row in result.rows)
+        assert all(type(x) is int for row in result.rows for x in row)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]])
 
 
 def test_snf_examples():
