@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import poly
@@ -56,8 +55,7 @@ DENSE = "Dense"
 NOT_DENSE = "NotDense"
 
 
-@dataclass
-class ChainTrace:
+class ChainTrace(NamedTuple):
     """Levels 0..depth of both chains, their joins, and the dual data."""
 
     depth: int
@@ -68,8 +66,7 @@ class ChainTrace:
     indices: list[int]
 
 
-@dataclass
-class DensityVerdict:
+class DensityVerdict(NamedTuple):
     status: str
     witness: Optional[tuple[int, ...]]
     reason: str

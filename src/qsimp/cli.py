@@ -11,10 +11,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import chain, finite_oracle, presentation, simplicity
 from .errors import DimensionMismatch, InternalError, ParseError, QsimpError
@@ -27,8 +25,7 @@ EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 
 
-@dataclass
-class JobSpec:
+class JobSpec(NamedTuple):
     command: str
     d: int
     f: Optional[IntMatrix]
@@ -54,7 +51,8 @@ def _parse_matrix(doc: dict, key: str, d: int) -> IntMatrix:
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ParseError(f"{key} entries must be integers")
-    return IntMatrix(raw)
+    # every entry is an int in a d x d list, so nothing is left to convert
+    return IntMatrix._of(tuple(map(tuple, raw)))
 
 
 def _parse_epsilon(raw) -> Fraction:
@@ -285,6 +283,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     tagged = [(ln, opts.format) for ln in lines]
     if opts.jobs > 1 and len(lines) > 1:
+        # imported here: the pool's multiprocessing stack would double the
+        # start-up of every --jobs 1 batch
+        from concurrent.futures import ProcessPoolExecutor
+
         # a few chunks per worker: one job per task costs more in dispatch
         # than a short job takes to run
         chunksize = max(1, len(lines) // (4 * opts.jobs))

@@ -13,9 +13,9 @@ same argument but is checked here exhaustively rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import SingularMatrix
 
@@ -25,23 +25,29 @@ SCOPE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
 class FiniteQuiver:
     """Vertices Z_m with an edge (x, y) whenever a*y = b*x mod m.
 
     The range of (x, y) is x and the source is y, so paths follow edges from
-    source to range.
+    source to range. `a` and `b` are stored reduced mod m, so quivers whose
+    multipliers agree mod m compare and hash equal.
     """
 
-    m: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, a: int, b: int):
+        if m < 1:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "a", self.a % self.m)
-        object.__setattr__(self, "b", self.b % self.m)
+        self.m, self.a, self.b = m, a % m, b % m
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteQuiver):
+            return NotImplemented
+        return (self.m, self.a, self.b) == (other.m, other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"FiniteQuiver(m={self.m}, a={self.a}, b={self.b})"
 
     @property
     def is_surjective(self) -> bool:
@@ -154,11 +160,10 @@ def gamma0_finite(q: FiniteQuiver) -> frozenset[int]:
         sub = grown
 
 
-@dataclass
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     m_max: int
     pairs_checked: int
-    counterexamples: list[dict] = field(default_factory=list)
+    counterexamples: list[dict]
     note: str = SCOPE_NOTE
 
 
@@ -170,17 +175,18 @@ def verify_minimality_theorem(m_max: int) -> MinimalityReport:
     """
     if m_max > 64:
         raise ValueError("sweep is desk scale; keep m_max at 64 or below")
-    report = MinimalityReport(m_max=m_max, pairs_checked=0)
+    pairs_checked = 0
+    counterexamples = []
     for m in range(1, m_max + 1):
         units = [x for x in range(m) if math.gcd(x, m) == 1]
         for a in units:
             for b in units:
                 q = FiniteQuiver(m, a, b)
-                report.pairs_checked += 1
+                pairs_checked += 1
                 dense_side = gamma0_finite(q) == frozenset(range(m))
                 minimal_side = minimal_finite(q)
                 if dense_side != minimal_side:
-                    report.counterexamples.append(
+                    counterexamples.append(
                         {
                             "m": m,
                             "a": a,
@@ -189,7 +195,7 @@ def verify_minimality_theorem(m_max: int) -> MinimalityReport:
                             "minimal": minimal_side,
                         }
                     )
-    return report
+    return MinimalityReport(m_max, pairs_checked, counterexamples)
 
 
 def saturated_hereditary_subsets(q: FiniteQuiver) -> list[frozenset[int]]:
@@ -209,8 +215,7 @@ def saturated_hereditary_subsets(q: FiniteQuiver) -> list[frozenset[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class GapResult:
+class GapResult(NamedTuple):
     status: str  # dense_at_resolution | not_dense | gap
     gap: Fraction
     depth: int

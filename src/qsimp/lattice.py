@@ -14,16 +14,14 @@ basis on the right by T transpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from .intmat import IntMatrix, adjugate, det, hnf_rows
 
 
-@dataclass(frozen=True)
-class RationalLattice:
+class RationalLattice(NamedTuple):
     """Full-rank lattice L with Z^d <= L <= Q^d in canonical form.
 
     `basis` is the row HNF of denom * L, an integer lattice squeezed
@@ -35,8 +33,7 @@ class RationalLattice:
     basis: IntMatrix
 
 
-@dataclass(frozen=True)
-class IntegerSublattice:
+class IntegerSublattice(NamedTuple):
     """Full-rank sublattice M <= Z^d with a row HNF basis."""
 
     dim: int

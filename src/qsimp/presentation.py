@@ -9,9 +9,8 @@ relation groups; the Toeplitz variant drops the cover relation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NonPositiveDiagonal, SingularMatrix, UnsupportedFormat
 from .intmat import IntMatrix, det, snf, unimodular_inverse
@@ -19,14 +18,12 @@ from .intmat import IntMatrix, det, snf, unimodular_inverse
 UNITARY_NOTE = "commuting unitaries with full spectrum"
 
 
-@dataclass(frozen=True)
-class RelationGroup:
+class RelationGroup(NamedTuple):
     kind: str  # orthogonality | monomial | intertwine | cover
     items: tuple
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     dim: int
     diag: tuple[int, ...]
     index_set: tuple[tuple[int, ...], ...]

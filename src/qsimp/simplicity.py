@@ -19,20 +19,18 @@ verdict, which the test suite exercises as the module's central property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import chain as _chain
 from .errors import DimensionMismatch, NotTriangular, SingularMatrix
-from .intmat import IntMatrix, adjugate, charpoly, det, snf, unimodular_inverse
+from .intmat import IntMatrix, charpoly, det, snf, unimodular_inverse
 
 SIMPLE = "Simple"
 NOT_SIMPLE = "NotSimple"
 UNKNOWN = "Unknown"
 
 
-@dataclass
-class Hypotheses:
+class Hypotheses(NamedTuple):
     det_f: int
     det_g: int
     ker_f_size: Optional[int]
@@ -41,8 +39,7 @@ class Hypotheses:
     both_automorphisms: bool
 
 
-@dataclass
-class SimplicityVerdict:
+class SimplicityVerdict(NamedTuple):
     status: str
     rules_fired: list[tuple[str, str]]
     hypotheses: Hypotheses
@@ -133,11 +130,14 @@ def normalize(f: IntMatrix, g: IntMatrix):
     Returns (n, t, transcript); the transcript records each reduction
     applied. Sign flips of either matrix never change any lattice in the
     chain, so |det F| stands in for det F.
+
+    det F and adj(F) come from the chain's per-pair data, which raises
+    DimensionMismatch or SingularMatrix for a pair out of scope; R5 then
+    finds that data cached.
     """
-    df = det(f)
-    if df == 0 or det(g) == 0:
-        raise SingularMatrix("normalization needs nonsingular matrices")
-    prod = adjugate(f) @ g
+    back = _chain._sides(f, g)[1]
+    df = back.c
+    prod = back.adj_t.transpose() @ g
     u, dmat, v = snf(prod)
     t = dmat @ v @ u
     transcript = [

@@ -161,6 +161,15 @@ def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def test_chain_levels_work_as_dict_keys():
+    # with F = G = 2 both chains stop at Z/2 from level 1 on
+    trace = compute_chain(m1(2), m1(2), 4)
+    first_seen = {}
+    for i, level in enumerate(trace.pos + trace.neg):
+        first_seen.setdefault(level, i)
+    assert first_seen == {standard(1): 0, from_rational_rows(1, 2, [[1]]): 1}
+
+
 def annihilates_every_level(f, g, witness, depth=30):
     """The witness lies in every annihilator of levels 0..depth."""
     trace = compute_chain(f, g, depth)

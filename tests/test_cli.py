@@ -1,12 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import rand_matrix, seeded
 from qsimp.cli import main, parse_job, run
 from qsimp.errors import DimensionMismatch, ParseError
+from qsimp.intmat import IntMatrix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def job_line(**kwargs):
@@ -37,6 +42,19 @@ def test_parse_job_bad_command_and_entries():
         parse_job(job_line(command="solve", d=1, F=[[2]], G=[[3]]))
     with pytest.raises(ParseError, match="entries"):
         parse_job(job_line(command="decide", d=1, F=[[2.5]], G=[[3]]))
+
+
+def test_parse_job_matrices_equal_checked_construction():
+    rng = seeded(5)
+    for _ in range(50):
+        d = rng.randint(1, 4)
+        f = [[rng.randint(-10**30, 10**30) for _ in range(d)] for _ in range(d)]
+        g = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+        job = parse_job(job_line(command="decide", d=d, F=f, G=g))
+        assert job.f == IntMatrix(f) and job.g == IntMatrix(g)
+        assert all(type(x) is int for row in job.f.rows + job.g.rows for x in row)
+    with pytest.raises(ParseError, match="entries"):
+        parse_job(job_line(command="decide", d=1, F=[[True]], G=[[3]]))
 
 
 def test_run_decide_simple():
@@ -382,3 +400,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "Simple"
+
+
+def test_cold_start_loads_no_pool_or_dataclasses():
+    # --jobs 1 needs neither the process pool's multiprocessing stack nor
+    # dataclasses (which pulls in inspect); the bench tracer looks up
+    # qsimp.presentation and qsimp.finite_oracle after importing the CLI
+    probe = (
+        "import qsimp.cli, sys; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
+        "'dataclasses', 'inspect', 'qsimp.presentation', 'qsimp.finite_oracle') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['qsimp.finite_oracle', 'qsimp.presentation']"

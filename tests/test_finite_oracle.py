@@ -74,6 +74,21 @@ def test_verify_minimality_theorem_small():
     assert "finite-group" in report.note
 
 
+def test_verify_minimality_theorem_m8():
+    report = verify_minimality_theorem(8)
+    assert (report.m_max, report.pairs_checked, report.counterexamples) == (8, 82, [])
+
+
+def test_finite_quiver_value_semantics():
+    q = FiniteQuiver(4, 5, 6)
+    assert (q.m, q.a, q.b) == (4, 1, 2)
+    assert q == FiniteQuiver(4, 1, 2) and hash(q) == hash(FiniteQuiver(4, 1, 2))
+    assert q != FiniteQuiver(4, 1, 3)
+    assert repr(q) == "FiniteQuiver(m=4, a=1, b=2)"
+    with pytest.raises(ValueError):
+        FiniteQuiver(0, 1, 1)
+
+
 def test_verify_minimality_theorem_m1_vacuous():
     report = verify_minimality_theorem(1)
     assert report.pairs_checked == 1

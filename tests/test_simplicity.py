@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from helpers import rand_nonsingular, rand_unimodular, seeded
+from qsimp import chain, lattice, simplicity
 from qsimp.chain import DENSE, NOT_DENSE, decide_density
-from qsimp.errors import NotTriangular, SingularMatrix
+from qsimp.errors import DimensionMismatch, NotTriangular, SingularMatrix
 from qsimp.intmat import IntMatrix
 from qsimp.simplicity import (
     NOT_SIMPLE,
@@ -127,6 +130,33 @@ def test_normalize_examples():
 
     u, dd, v = snf(adjugate(f) @ g)
     assert t == dd @ v @ u
+
+
+def test_normalize_rejects_pairs_out_of_scope():
+    with pytest.raises(DimensionMismatch):
+        normalize(m1(2), IntMatrix.identity(2))
+    with pytest.raises(SingularMatrix):
+        normalize(m1(0), m1(3))
+
+
+def test_r5_decide_computes_each_det_twice_and_adj_f_once(monkeypatch):
+    calls = Counter()
+    for module in (simplicity, chain, lattice):
+        for name in ("det", "adjugate"):
+            if hasattr(module, name):
+                def counted(m, orig=getattr(module, name), name=name):
+                    calls[name, m] += 1
+                    return orig(m)
+
+                monkeypatch.setattr(module, name, counted)
+    chain._sides.cache_clear()
+    f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
+    v = decide(f, g)
+    assert v.rules_fired[-1][0] == "R5-density"
+    # check_hypotheses, then the chain's per-pair data that normalize and
+    # decide_density share
+    assert calls["det", f] <= 2 and calls["det", g] <= 2
+    assert calls["adjugate", f] == 1
 
 
 def test_decide_examples():
