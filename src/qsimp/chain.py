@@ -10,8 +10,11 @@ limit by algebra, with no depth or search budget.
 One level is a single lattice canonicalisation: G^{-1}(F L + Z^d) equals
 G^{-1} F L + G^{-1} Z^d, so with L = span(B)/D it is spanned, over the
 denominator D |det G|, by the rows of B F^T adj(G)^T and of D adj(G)^T.
-The Z^d that the canonical form adds lies in G^{-1} Z^d already. The
-matrices that depend only on the pair are computed once per pair.
+The Z^d that the canonical form adds lies in G^{-1} Z^d already. Since
+adj(G)^T Z^d contains |det G| Z^d, its row HNF H is taken modulo |det G|
+once per orientation, and each level folds only the d rows of
+B F^T adj(G)^T into the known triangular basis D H. The other matrices
+that depend only on the pair are computed once per pair.
 
 The density decision:
 
@@ -35,7 +38,7 @@ from typing import NamedTuple, Optional
 
 from . import poly
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
-from .intmat import IntMatrix, adjugate, charpoly, det
+from .intmat import IntMatrix, adjugate, charpoly, det, hnf_rows
 from .lattice import (
     IntegerSublattice,
     RationalLattice,
@@ -102,6 +105,18 @@ def _sides(f: IntMatrix, g: IntMatrix) -> tuple[_Side, _Side]:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _kernel_basis(f: IntMatrix, g: IntMatrix) -> IntMatrix:
+    """Row HNF of adj(G)^T, whose rows span |det G| G^{-1} Z^d, for the
+    step_pos(f, g, .) orientation.
+
+    Kept apart from _sides: only chain levels need it, and a decide that
+    reaches R5 builds none.
+    """
+    side = _sides(f, g)[0]
+    return hnf_rows(side.adj_t.rows, f.dim, abs(side.c))
+
+
 def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
     """One forward level: G-preimage of the F-image, in one canonicalisation.
 
@@ -111,8 +126,8 @@ def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
         raise DimensionMismatch("lattice and matrices differ in dimension")
     side = _sides(f, g)[0]
     rows = (l.basis @ side.step).rows
-    rows += tuple(tuple(l.denom * x for x in row) for row in side.adj_t.rows)
-    return from_rational_rows(l.dim, l.denom * abs(side.c), rows)
+    start = [[l.denom * x for x in row] for row in _kernel_basis(f, g).rows]
+    return from_rational_rows(l.dim, l.denom * abs(side.c), rows, start)
 
 
 def annihilator_step_pos(f: IntMatrix, g: IntMatrix, m: IntegerSublattice) -> IntegerSublattice:
@@ -148,10 +163,10 @@ def _evaluate(p: list[int], a: IntMatrix) -> IntMatrix:
     """p(a) by Horner's rule."""
     acc = IntMatrix.scalar(a.dim, p[0])
     for coeff in p[1:]:
-        acc = IntMatrix(
-            [[x + coeff * (i == j) for j, x in enumerate(row)]
-             for i, row in enumerate((acc @ a).rows)]
-        )
+        rows = [list(row) for row in (acc @ a).rows]
+        for i, row in enumerate(rows):
+            row[i] += coeff
+        acc = IntMatrix._of(tuple(map(tuple, rows)))
     return acc
 
 

@@ -24,6 +24,11 @@ EXIT_DEFINITE = 0
 EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 
+DEFAULT_EPSILON = Fraction(1, 1000)
+
+# json.dumps(x, separators=...) builds this same encoder on every call
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class JobSpec(NamedTuple):
     command: str
@@ -41,15 +46,15 @@ def _parse_matrix(doc: dict, key: str, d: int) -> IntMatrix:
     if key not in doc:
         raise ParseError(f"missing field: {key}")
     raw = doc[key]
-    if (
-        not isinstance(raw, list)
-        or len(raw) != d
-        or any(not isinstance(row, list) or len(row) != d for row in raw)
-    ):
+    if type(raw) is not list or len(raw) != d:
         raise DimensionMismatch(f"{key} must be a {d}x{d} matrix of integers")
     for row in raw:
+        if type(row) is not list or len(row) != d:
+            raise DimensionMismatch(f"{key} must be a {d}x{d} matrix of integers")
+    # json yields no int subclass but bool, which this test rejects
+    for row in raw:
         for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
+            if type(x) is not int:
                 raise ParseError(f"{key} entries must be integers")
     # every entry is an int in a d x d list, so nothing is left to convert
     return IntMatrix._of(tuple(map(tuple, raw)))
@@ -93,7 +98,7 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
     needs_matrices = command in ("decide", "trace", "present", "oracle")
     d = doc.get("d")
     if needs_matrices:
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        if type(d) is not int or d < 1:
             raise ParseError("d must be a positive integer")
         if command == "oracle" and d != 1:
             raise ParseError("oracle command requires d = 1")
@@ -103,9 +108,9 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
         d = d if isinstance(d, int) else 0
         f = g = None
     max_depth = doc.get("max_depth", chain.DEFAULT_MAX_DEPTH)
-    if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
+    if type(max_depth) is not int or max_depth < 1:
         raise ParseError("max_depth must be a positive integer")
-    epsilon = _parse_epsilon(doc.get("epsilon", "1/1000"))
+    epsilon = _parse_epsilon(doc["epsilon"]) if "epsilon" in doc else DEFAULT_EPSILON
     output = doc.get("output", default_format)
     if output not in ("json", "text"):
         raise ParseError("output must be json or text")
@@ -113,7 +118,7 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
     if not isinstance(toeplitz, bool):
         raise ParseError("toeplitz must be a boolean")
     m_max = doc.get("m_max", 32)
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or not 1 <= m_max <= 64:
+    if type(m_max) is not int or not 1 <= m_max <= 64:
         raise ParseError("m_max must be an integer between 1 and 64")
     return JobSpec(
         command=command,
@@ -219,7 +224,7 @@ def run(job: JobSpec) -> tuple[int, str]:
             raise ParseError(f"unknown command {job.command}")
         if job.output == "text":
             return code, _to_text(result)
-        return code, json.dumps(result, separators=(",", ":"))
+        return code, _encode(result)
     except QsimpError as exc:
         return EXIT_ERROR, _serialize_error(exc, job.output)
     except Exception as exc:
@@ -231,7 +236,7 @@ def _serialize_error(exc: QsimpError, output: str) -> str:
     payload = {"status": "Error", "error": exc.code, "message": str(exc)}
     if output == "text":
         return f"error[{exc.code}]: {exc}"
-    return json.dumps(payload, separators=(",", ":"))
+    return _encode(payload)
 
 
 def _to_text(result: dict, indent: int = 0) -> str:

@@ -10,18 +10,24 @@ couple dozen levels even in dimension one.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from operator import getitem, index, mul, neg
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, SingularMatrix
 
 
 class IntMatrix:
-    """Immutable square matrix over Z, stored as a tuple of row tuples."""
+    """Immutable square matrix over Z, stored as a tuple of row tuples.
+
+    Entries go through operator.index, which takes int, bool and NumPy
+    integers and raises TypeError on a float, a string or anything else
+    that is not an integer, instead of truncating it.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        clean = tuple(tuple(int(x) for x in row) for row in rows)
+        clean = tuple(tuple(map(index, row)) for row in rows)
         if not clean or any(len(row) != len(clean) for row in clean):
             raise ValueError("matrix must be non-empty and square")
         object.__setattr__(self, "rows", clean)
@@ -58,18 +64,18 @@ class IntMatrix:
         return IntMatrix._of(tuple(zip(*self.rows)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.dim != other.dim:
+        if len(self.rows) != len(other.rows):
             raise ValueError("dimension mismatch in matrix product")
         cols = list(zip(*other.rows))
-        return IntMatrix._of(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows
-        ))
+        return IntMatrix._of(tuple([
+            tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows
+        ]))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
-        if len(vec) != self.dim:
+        if len(vec) != len(self.rows):
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
+        return tuple([sum(map(mul, row, vec)) for row in self.rows])
 
     def is_diagonal(self) -> bool:
         return all(
@@ -77,17 +83,18 @@ class IntMatrix:
         )
 
     def is_upper_triangular(self) -> bool:
-        return all(self.rows[i][j] == 0 for i in range(self.dim) for j in range(i))
+        return not any(any(row[:i]) for i, row in enumerate(self.rows))
 
     def is_lower_triangular(self) -> bool:
-        return all(
-            self.rows[i][j] == 0 for i in range(self.dim) for j in range(i + 1, self.dim)
-        )
+        return not any(any(row[i + 1:]) for i, row in enumerate(self.rows))
 
     def scalar_value(self) -> int | None:
         """The c with self == c*I, or None."""
         c = self.rows[0][0]
-        return c if self == IntMatrix.scalar(self.dim, c) else None
+        for i, row in enumerate(self.rows):
+            if row[i] != c or any(row[:i]) or any(row[i + 1:]):
+                return None
+        return c
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -151,23 +158,24 @@ def _faddeev_leverrier(m: IntMatrix) -> tuple[list[int], IntMatrix]:
     a = m.rows
     d = len(a)
     coeffs = [1]
-    n = [[int(i == j) for j in range(d)] for i in range(d)]
+    n = [[1]]  # N_1 = I, left as is only when d = 1
     mk = a
     for k in range(1, d):
-        tr = sum(mk[i][i] for i in range(d))
+        tr = sum(map(getitem, mk, range(d)))
         if tr % k:
             raise ConsistencyError("Faddeev-LeVerrier trace not divisible")
         c = -(tr // k)
         coeffs.append(c)
         n = [list(row) for row in mk]
-        for i in range(d):
-            n[i][i] += c
+        for i, row in enumerate(n):
+            row[i] += c
         if k + 1 < d:
             cols = list(zip(*n))
-            mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-    coeffs.append(-sum(x * row[0] for x, row in zip(a[0], n)))
-    sign = 1 if d % 2 else -1
-    return coeffs, IntMatrix._of(tuple(tuple(sign * x for x in row) for row in n))
+            mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
+    coeffs.append(-sum(map(mul, a[0], [row[0] for row in n])))
+    if d % 2:
+        return coeffs, IntMatrix._of(tuple(map(tuple, n)))
+    return coeffs, IntMatrix._of(tuple(tuple(map(neg, row)) for row in n))
 
 
 def charpoly(m: IntMatrix) -> list[int]:
@@ -199,43 +207,70 @@ def _row_axpy(mat, i: int, k: int, q: int) -> None:
         ri[j] -= q * rk[j]
 
 
-def hnf_rows(rows: Sequence[Sequence[int]], dim: int, modulus: int) -> IntMatrix:
-    """Row Hermite normal form of the lattice span(rows) + modulus * Z^dim.
+def hnf_rows(
+    rows: Sequence[Sequence[int]],
+    dim: int,
+    modulus: int,
+    start: Optional[Sequence[Sequence[int]]] = None,
+) -> IntMatrix:
+    """Row Hermite normal form of the lattice span(start) + span(rows).
 
-    The result is upper triangular with positive pivots and entries above
-    each pivot reduced into [0, pivot). That form is unique per row lattice,
-    so it is the canonical representative used everywhere in the package.
-    A caller that wants the HNF of span(rows) itself passes a positive
-    multiple of its index [Z^dim : span(rows)].
+    `start` is an upper-triangular basis with positive pivots whose span
+    contains modulus * Z^dim; None stands for modulus * I, so the default
+    lattice is span(rows) + modulus * Z^dim. The result is upper triangular
+    with positive pivots and entries above each pivot reduced into
+    [0, pivot). That form is unique per row lattice, so it is the canonical
+    representative used everywhere in the package, and
+    hnf_rows(rows, dim, M, T) == hnf_rows(T + rows, dim, M). A caller that
+    wants the HNF of span(rows) itself passes a positive multiple of its
+    index [Z^dim : span(rows)].
 
     The elimination runs modulo `modulus` (Domich-Kannan-Trotter 1987;
-    Cohen, GTM 138, Alg. 2.4.8), which keeps the working entries in
-    [0, modulus). Column by column, one extended-gcd step per live row folds
-    modulus * e_c and that row into the pivot row and leaves the row zero in
-    column c; entries right of column c are then reduced modulo `modulus`,
-    which only adds vectors of modulus * Z^dim.
+    Cohen, GTM 138, Alg. 2.4.8), which keeps the working entries of `rows`
+    in [0, modulus). Column by column, each live row is folded into the
+    pivot row, which starts as row c of `start`, and leaves the row zero in
+    column c: by one subtraction when one of the two leading entries
+    divides the other, else by one extended-gcd step. Entries right of
+    column c are then reduced modulo `modulus`, which only adds vectors of
+    modulus * Z^dim. A known starting basis thus costs one fold per row of
+    `rows` and none for the rows it stands for.
     """
     if modulus <= 0 or dim <= 0:
         raise ValueError("modulus and dim must be positive")
     if any(len(row) != dim for row in rows):
         raise ValueError("rows must have length dim")
+    if start is not None and len(start) != dim:
+        raise ValueError("start must have dim rows")
     # live rows keep only the columns from c on
     live = [[x % modulus for x in row] for row in rows]
     h = []
     for c in range(dim):
-        piv = [0] * (dim - c)
-        piv[0] = modulus
+        if start is None:
+            piv = [0] * (dim - c)
+            piv[0] = modulus
+        else:
+            top = start[c]
+            if len(top) != dim or top[c] <= 0 or any(top[:c]):
+                raise ValueError("start must be upper triangular with positive pivots")
+            piv = list(top[c:])
         rest = []
         for row in live:
             a = row[0]
             if a:
                 p = piv[0]
-                g, s, t = _xgcd(p, a)
-                u, v = p // g, a // g
-                piv, row = (
-                    [g] + [(s * x + t * y) % modulus for x, y in zip(piv[1:], row[1:])],
-                    [(v * x - u * y) % modulus for x, y in zip(piv, row)],
-                )
+                if not a % p:
+                    q = a // p
+                    row = [(y - q * x) % modulus for x, y in zip(piv, row)]
+                elif not p % a:
+                    q = p // a
+                    piv, row = row, [(x - q * y) % modulus for x, y in zip(piv, row)]
+                else:
+                    g, s, t = _xgcd(p, a)
+                    u, v = p // g, a // g
+                    piv, row = (
+                        [g] + [(s * x + t * y) % modulus for x, y in zip(piv[1:], row[1:])],
+                        [(v * x - u * y) % modulus for x, y in zip(piv, row)],
+                    )
             if any(row):
                 rest.append(row[1:])
         h.append([0] * c + piv)
@@ -342,7 +377,7 @@ def snf(m: IntMatrix) -> SmithDecomposition:
         if fixed:
             break
 
-    u = unimodular_inverse(IntMatrix(r_acc))
-    v = unimodular_inverse(IntMatrix(c_acc))
-    return SmithDecomposition(u, IntMatrix(a), v)
+    u = unimodular_inverse(IntMatrix._of(tuple(map(tuple, r_acc))))
+    v = unimodular_inverse(IntMatrix._of(tuple(map(tuple, c_acc))))
+    return SmithDecomposition(u, IntMatrix._of(tuple(map(tuple, a))), v)
 

@@ -13,9 +13,10 @@ basis on the right by T transpose.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from .intmat import IntMatrix, adjugate, det, hnf_rows
@@ -40,13 +41,16 @@ class IntegerSublattice(NamedTuple):
     basis: IntMatrix
 
 
-def _canonical(dim: int, denom: int, int_rows: Sequence[Sequence[int]]) -> RationalLattice:
-    """Canonicalize the lattice generated by int_rows / denom plus Z^d."""
-    h = hnf_rows(int_rows, dim, denom)
-    g = 0
-    for row in h.rows:
-        for x in row:
-            g = math.gcd(g, x)
+def _canonical(
+    dim: int,
+    denom: int,
+    int_rows: Sequence[Sequence[int]],
+    start: Optional[Sequence[Sequence[int]]] = None,
+) -> RationalLattice:
+    """Canonicalize the lattice generated by int_rows / denom plus Z^d, or
+    plus start / denom when given (see hnf_rows)."""
+    h = hnf_rows(int_rows, dim, denom, start)
+    g = math.gcd(*itertools.chain.from_iterable(h.rows))
     if g > 1:
         # dividing an HNF matrix by a common factor keeps it in HNF
         h = IntMatrix._of(tuple(tuple(x // g for x in row) for row in h.rows))
@@ -59,11 +63,22 @@ def standard(dim: int) -> RationalLattice:
     return RationalLattice(dim, 1, IntMatrix.identity(dim))
 
 
-def from_rational_rows(dim: int, denom: int, int_rows: Sequence[Sequence[int]]) -> RationalLattice:
-    """Lattice generated by int_rows / denom together with Z^d."""
+def from_rational_rows(
+    dim: int,
+    denom: int,
+    int_rows: Sequence[Sequence[int]],
+    start: Optional[Sequence[Sequence[int]]] = None,
+) -> RationalLattice:
+    """Lattice generated by int_rows / denom together with Z^d.
+
+    `start`, when given, is an upper-triangular integer basis with positive
+    pivots whose span contains denom * Z^d; the lattice is then generated
+    by int_rows / denom and start / denom, and the rows of `start` cost no
+    elimination step (see hnf_rows).
+    """
     if denom <= 0:
         raise ValueError("denominator must be positive")
-    return _canonical(dim, denom, int_rows)
+    return _canonical(dim, denom, int_rows, start)
 
 
 def from_kernel(g: IntMatrix) -> RationalLattice:
@@ -82,9 +97,10 @@ def join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
     d = math.lcm(l1.denom, l2.denom)
     s1 = d // l1.denom
     s2 = d // l2.denom
-    rows = [[x * s1 for x in row] for row in l1.basis.rows]
-    rows += [[x * s2 for x in row] for row in l2.basis.rows]
-    return _canonical(l1.dim, d, rows)
+    # s1 * B1 spans s1 * denom1 * L1, which contains d * Z^d: fold B2 into it
+    start = [[x * s1 for x in row] for row in l1.basis.rows]
+    rows = [[x * s2 for x in row] for row in l2.basis.rows]
+    return _canonical(l1.dim, d, rows, start)
 
 
 def pushforward(f: IntMatrix, l: RationalLattice) -> RationalLattice:
@@ -206,10 +222,15 @@ def sublattice_index(m: IntegerSublattice) -> int:
     return _diagonal_product(m.basis)
 
 
-def sublattice_contains(m: IntegerSublattice, v: Sequence[int]) -> bool:
+def sublattice_contains(m: IntegerSublattice, v: Sequence) -> bool:
+    """Membership of a rational vector, exact: one with a non-integral
+    entry never lies in M."""
     if len(v) != m.dim:
         raise DimensionMismatch("vector length does not match lattice dimension")
-    return _member_rows(m.basis, [int(x) for x in v])
+    q = [Fraction(x) for x in v]
+    if any(x.denominator != 1 for x in q):
+        return False
+    return _member_rows(m.basis, [x.numerator for x in q])
 
 
 def sublattice_transform(m: IntegerSublattice, t: IntMatrix) -> IntegerSublattice:

@@ -105,9 +105,11 @@ def triangular_criterion(n: int, g: IntMatrix) -> bool:
     """Diagonal avoidance test for the pair (n * I, G) with G triangular."""
     if not (g.is_upper_triangular() or g.is_lower_triangular()):
         raise NotTriangular("criterion applies to triangular matrices only")
-    if det(g) == 0:
+    diagonal = [abs(row[j]) for j, row in enumerate(g.rows)]
+    # a triangular matrix is singular exactly when its diagonal holds a 0
+    if not all(diagonal):
         raise SingularMatrix("criterion needs det(G) != 0")
-    return all(abs(g.rows[j][j]) != n for j in range(g.dim))
+    return n not in diagonal
 
 
 def reduce_right(f: IntMatrix, g: IntMatrix, h: IntMatrix):

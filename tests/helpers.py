@@ -1,9 +1,11 @@
-"""Shared test utilities: independent oracles and random generators.
+"""Shared test utilities: independent oracles, random generators and a
+call counter.
 
 The oracles here deliberately avoid the production code paths they check.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from qsimp.intmat import IntMatrix
@@ -73,3 +75,17 @@ def lattice_points_oracle(denom, d, member):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def count_calls(monkeypatch, modules, name):
+    """Counter of calls to `name` through each module's own binding of it,
+    keyed by module name; the bindings are restored with monkeypatch."""
+    calls = Counter()
+    for module in modules:
+        if hasattr(module, name):
+            def counted(*args, orig=getattr(module, name), key=module.__name__):
+                calls[key] += 1
+                return orig(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls

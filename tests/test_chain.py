@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_nonsingular, rand_unimodular, seeded
-from qsimp import chain, cli
+from helpers import count_calls, rand_nonsingular, rand_unimodular, seeded
+from qsimp import chain, cli, lattice
 from qsimp.chain import (
     DENSE,
     NOT_DENSE,
@@ -159,6 +159,20 @@ def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
     decide_density(f, g)
     assert set(calls) == {(n, m) for n in ("det", "adjugate") for m in (f, g)}
     assert max(calls.values()) == 1
+
+
+def test_compute_chain_hnf_count(monkeypatch):
+    calls = count_calls(monkeypatch, (chain, lattice), "hnf_rows")
+    chain._sides.cache_clear()
+    chain._kernel_basis.cache_clear()
+    f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
+    for n in (1, 5):
+        calls.clear()
+        compute_chain(f, g, n)
+        # two steps, a join and an annihilator per level, one annihilator
+        # at level 0, and the step basis of each orientation on first use
+        assert sum(calls.values()) <= 4 * n + 3
+    assert chain._kernel_basis.cache_info().misses == 2
 
 
 def test_chain_levels_work_as_dict_keys():

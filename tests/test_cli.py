@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,8 +41,16 @@ def test_parse_job_ragged_matrix():
 def test_parse_job_bad_command_and_entries():
     with pytest.raises(ParseError, match="command"):
         parse_job(job_line(command="solve", d=1, F=[[2]], G=[[3]]))
-    with pytest.raises(ParseError, match="entries"):
-        parse_job(job_line(command="decide", d=1, F=[[2.5]], G=[[3]]))
+    for bad in (2.5, "3", None):
+        with pytest.raises(ParseError, match="entries"):
+            parse_job(job_line(command="decide", d=1, F=[[bad]], G=[[3]]))
+
+
+def test_parse_job_default_epsilon():
+    job = parse_job(job_line(command="oracle", d=1, F=[[2]], G=[[3]]))
+    given = parse_job(job_line(command="oracle", d=1, F=[[2]], G=[[3]], epsilon="1/1000"))
+    assert job.epsilon == given.epsilon == Fraction(1, 1000)
+    assert run(job) == run(given)
 
 
 def test_parse_job_matrices_equal_checked_construction():

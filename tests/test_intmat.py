@@ -1,11 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import det_oracle, rand_nonsingular, rand_unimodular, seeded
+from qsimp import intmat
 from qsimp.errors import SingularMatrix
 from qsimp.intmat import (
     IntMatrix,
@@ -149,6 +151,62 @@ def test_hnf_rows_modular_matches_minor_oracle():
         assert det(h) == _minor_gcd(rows + scaled, d)
         if index:
             assert det(h) == index
+
+
+def test_hnf_rows_folds_into_a_starting_basis():
+    rng = seeded(23)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        modulus = rng.choice([2, 3, 4, 6, 8, 12, 30]) * rng.randint(1, 6)
+        seed_rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(rng.randint(0, d))]
+        # an HNF with modulus * Z^d inside its span
+        t = hnf_rows(seed_rows, d, modulus).rows
+        p = t[0][0]
+        tail = lambda: [rng.randint(-20, 20) for _ in range(d - 1)]
+        # first column: the pivot divides the first row's entry, the second
+        # row's entry divides the pivot, later rows go through the gcd step
+        rows = [[p * rng.randint(1, 5)] + tail(),
+                [rng.choice([x for x in range(1, p + 1) if p % x == 0])] + tail()]
+        rows += [[rng.randint(-30, 30) for _ in range(d)] for _ in range(rng.randint(0, 3))]
+        rng.shuffle(rows[2:])
+        folded = hnf_rows(rows, d, modulus, t)
+        _assert_hnf_shape(folded)
+        assert folded == hnf_rows(t + tuple(map(tuple, rows)), d, modulus)
+
+
+def test_hnf_rows_fold_shortcuts_skip_the_gcd_step(monkeypatch):
+    def no_xgcd(a, b):
+        raise AssertionError("extended gcd reached")
+
+    monkeypatch.setattr(intmat, "_xgcd", no_xgcd)
+    # pivot 4 divides 8; then 2 divides the pivot 4 and replaces it
+    assert hnf_rows([[8], [2]], 1, 12, [[4]]) == IntMatrix([[2]])
+    assert hnf_rows([[0, 3], [2, 5]], 2, 6, [[4, 1], [0, 6]]) == IntMatrix([[2, 2], [0, 3]])
+
+
+def test_hnf_rows_rejects_a_malformed_start():
+    for start in ([[2]], [[2, 0], [1, 2]], [[0, 1], [0, 2]], [[2, 0], [0]]):
+        with pytest.raises(ValueError):
+            hnf_rows([[1, 1]], 2, 2, start)
+
+
+def test_constructor_takes_integers_only():
+    np = pytest.importorskip("numpy")
+    m = IntMatrix([[True, np.int64(-3)], [np.int32(2), 5]])
+    assert m.rows == ((1, -3), (2, 5))
+    assert all(type(x) is int for row in m.rows for x in row)
+    # these were truncated to 2, 2, 3 and 3 before
+    for bad in (2.5, 2.0, "3", Fraction(3), None):
+        with pytest.raises(TypeError):
+            IntMatrix([[bad]])
+
+
+def test_scalar_value():
+    assert IntMatrix.scalar(3, -2).scalar_value() == -2
+    assert IntMatrix([[0, 0], [0, 0]]).scalar_value() == 0
+    assert IntMatrix([[5]]).scalar_value() == 5
+    for rows in ([[2, 0], [0, 3]], [[2, 1], [0, 2]], [[2, 0], [1, 2]], [[0, 0], [0, 1]]):
+        assert IntMatrix(rows).scalar_value() is None
 
 
 def test_internal_results_equal_public_construction():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,26 @@ def test_join_semilattice_laws():
         assert join(join(a, b), c) == join(a, join(b, c))
         assert join(a, a) == a
         assert join(a, standard(d)) == a
+
+
+def test_join_equals_the_fold_of_both_bases():
+    rng = seeded(37)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        a, b = rand_lattice(rng, d), rand_lattice(rng, d)
+        denom = math.lcm(a.denom, b.denom)
+        rows = [[x * (denom // l.denom) for x in row] for l in (a, b) for row in l.basis.rows]
+        assert join(a, b) == from_rational_rows(d, denom, rows) == join(b, a)
+
+
+def test_sublattice_contains_rejects_non_integral_entries():
+    m = sublattice_from_rows(2, [[2, 0], [0, 2]])
+    assert sublattice_contains(m, [2, 0])
+    assert sublattice_contains(m, [Fraction(4, 2), 2.0])
+    # int() would truncate these to the member (2, 0)
+    assert not sublattice_contains(m, [2.9, 0])
+    assert not sublattice_contains(m, [Fraction(5, 2), 0])
+    assert not sublattice_contains(m, [3, 0])
 
 
 def test_sublattice_transform():

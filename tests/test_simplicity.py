@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import rand_nonsingular, rand_unimodular, seeded
+from helpers import count_calls, rand_nonsingular, rand_unimodular, seeded
 from qsimp import chain, lattice, simplicity
 from qsimp.chain import DENSE, NOT_DENSE, decide_density
 from qsimp.errors import DimensionMismatch, NotTriangular, SingularMatrix
@@ -157,6 +157,17 @@ def test_r5_decide_computes_each_det_twice_and_adj_f_once(monkeypatch):
     # decide_density share
     assert calls["det", f] <= 2 and calls["det", g] <= 2
     assert calls["adjugate", f] == 1
+
+
+def test_r5_decide_makes_no_hnf(monkeypatch):
+    calls = count_calls(monkeypatch, (simplicity, chain, lattice), "hnf_rows")
+    chain._sides.cache_clear()
+    chain._kernel_basis.cache_clear()
+    v = decide(IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]]))
+    assert v.rules_fired[-1][0] == "R5-density"
+    # the chain's step bases are for chain levels, which R5 never builds
+    assert not calls
+    assert chain._kernel_basis.cache_info().currsize == 0
 
 
 def test_decide_examples():
