@@ -32,7 +32,6 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 class JobSpec(NamedTuple):
     command: str
-    d: int
     f: Optional[IntMatrix]
     g: Optional[IntMatrix]
     max_depth: int
@@ -95,9 +94,8 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
     command = doc.get("command")
     if command not in COMMANDS:
         raise ParseError(f"command must be one of {list(COMMANDS)}")
-    needs_matrices = command in ("decide", "trace", "present", "oracle")
-    d = doc.get("d")
-    if needs_matrices:
+    if command in ("decide", "trace", "present", "oracle"):
+        d = doc.get("d")
         if type(d) is not int or d < 1:
             raise ParseError("d must be a positive integer")
         if command == "oracle" and d != 1:
@@ -105,7 +103,6 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
         f = _parse_matrix(doc, "F", d)
         g = _parse_matrix(doc, "G", d)
     else:
-        d = d if isinstance(d, int) else 0
         f = g = None
     max_depth = doc.get("max_depth", chain.DEFAULT_MAX_DEPTH)
     if type(max_depth) is not int or max_depth < 1:
@@ -122,7 +119,6 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
         raise ParseError("m_max must be an integer between 1 and 64")
     return JobSpec(
         command=command,
-        d=d,
         f=f,
         g=g,
         max_depth=max_depth,
@@ -152,17 +148,6 @@ def _trace_dict(tr: chain.ChainTrace) -> dict:
     }
 
 
-def _hypotheses_dict(h: simplicity.Hypotheses) -> dict:
-    return {
-        "det_f": h.det_f,
-        "det_g": h.det_g,
-        "ker_f_size": h.ker_f_size,
-        "ker_g_size": h.ker_g_size,
-        "condition_L": h.condition_L,
-        "both_automorphisms": h.both_automorphisms,
-    }
-
-
 def _decide_result(job: JobSpec) -> tuple[int, dict]:
     v = simplicity.decide(job.f, job.g)
     if job.output == "text":
@@ -172,7 +157,7 @@ def _decide_result(job: JobSpec) -> tuple[int, dict]:
     result = {"status": v.status, "rules": rules}
     if v.witness is not None:
         result["witness"] = list(v.witness)
-    result["hypotheses"] = _hypotheses_dict(v.hypotheses)
+    result["hypotheses"] = v.hypotheses._asdict()
     result["kirchberg"] = v.kirchberg_flag
     code = EXIT_UNKNOWN if v.status == simplicity.UNKNOWN else EXIT_DEFINITE
     return code, result

@@ -107,12 +107,12 @@ class IntMatrix:
 
 
 class SmithDecomposition(NamedTuple):
-    """u * d * v equals the decomposed matrix; u, v unimodular, d a positive
-    diagonal divisibility chain."""
+    """p @ m @ q == d for the decomposed matrix m; p, q unimodular, d a
+    positive diagonal divisibility chain."""
 
-    u: IntMatrix
+    p: IntMatrix
     d: IntMatrix
-    v: IntMatrix
+    q: IntMatrix
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -284,100 +284,86 @@ def hnf_rows(
     return IntMatrix._of(tuple(map(tuple, h)))
 
 
+def _col_axpy(mat, j: int, k: int, q: int) -> None:
+    # col_j -= q * col_k
+    for row in mat:
+        row[j] -= q * row[k]
+
+
 def snf(m: IntMatrix) -> SmithDecomposition:
-    """Smith decomposition m = U * D * V.
+    """Smith decomposition p @ m @ q == d (Cohen, GTM 138, §2.4.4).
 
-    D is the positive diagonal divisibility chain d1 | d2 | ... | dd, which
-    pins D down uniquely; U and V are unimodular. Requires det(m) != 0 so no
-    diagonal entry vanishes.
+    d is the positive diagonal divisibility chain d1 | d2 | ... | dd, which
+    pins it down uniquely; p and q are the unimodular products of the row
+    and column operations that reduce m to d. A singular m leaves an
+    all-zero trailing block during the elimination, which raises
+    SingularMatrix.
     """
-    if det(m) == 0:
-        raise SingularMatrix("snf requires a nonsingular matrix")
     d = m.dim
-    a = [list(row) for row in m.rows]
-    # Invariant: a == r_acc @ m @ c_acc. The returned u, v invert r_acc, c_acc.
-    r_acc = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    c_acc = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-    def row_axpy(i, k, q):
-        _row_axpy(a, i, k, q)
-        _row_axpy(r_acc, i, k, q)
-
-    def col_axpy(j, k, q):
-        # col_j -= q * col_k
-        for mat in (a, c_acc):
-            for row in mat:
-                row[j] -= q * row[k]
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        r_acc[i], r_acc[k] = r_acc[k], r_acc[i]
-
-    def col_swap(j, k):
-        for mat in (a, c_acc):
-            for row in mat:
-                row[j], row[k] = row[k], row[j]
-
-    def row_combine(i, k, p, q, rr, ss):
-        # (row_i, row_k) <- (p*row_i + q*row_k, rr*row_i + ss*row_k)
-        for mat in (a, r_acc):
-            ri, rk = mat[i], mat[k]
-            for j in range(d):
-                x, y = ri[j], rk[j]
-                ri[j] = p * x + q * y
-                rk[j] = rr * x + ss * y
+    # One working matrix [[m, I], [I, 0]]: an operation on rows < d carries
+    # the row transform p along in columns >= d, one on columns < d carries
+    # the column transform q along in rows >= d, and the top-left block
+    # stays p @ m @ q throughout.
+    w = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(m.rows)]
+    w += [[int(i == j) for j in range(d)] + [0] * d for i in range(d)]
 
     for t in range(d):
         while True:
             best = None
             for i in range(t, d):
                 for j in range(t, d):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
-                        best = (abs(a[i][j]), i, j)
+                    if w[i][j] != 0 and (best is None or abs(w[i][j]) < best[0]):
+                        best = (abs(w[i][j]), i, j)
+            if best is None:
+                raise SingularMatrix("snf requires a nonsingular matrix")
             _, bi, bj = best
             if bi != t:
-                row_swap(t, bi)
+                w[t], w[bi] = w[bi], w[t]
             if bj != t:
-                col_swap(t, bj)
+                for row in w:
+                    row[t], row[bj] = row[bj], row[t]
             dirty = False
             for i in range(t + 1, d):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_axpy(i, t, q)
-                    if a[i][t]:
+                if w[i][t]:
+                    _row_axpy(w, i, t, w[i][t] // w[t][t])
+                    if w[i][t]:
                         dirty = True
             for j in range(t + 1, d):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_axpy(j, t, q)
-                    if a[t][j]:
+                if w[t][j]:
+                    _col_axpy(w, j, t, w[t][j] // w[t][t])
+                    if w[t][j]:
                         dirty = True
             if not dirty:
                 break
 
+    # the top-left block is diagonal now, so a sign flip negates a whole row
     for t in range(d):
-        if a[t][t] < 0:
-            a[t][t] = -a[t][t]
-            for j in range(d):
-                r_acc[t][j] = -r_acc[t][j]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
 
     while True:
         fixed = True
         for i in range(d - 1):
-            aa, bb = a[i][i], a[i + 1][i + 1]
+            aa, bb = w[i][i], w[i + 1][i + 1]
             if bb % aa == 0:
                 continue
             fixed = False
             j = i + 1
-            col_axpy(i, j, -1)  # col_i += col_j, so a[j][i] = bb
+            _col_axpy(w, i, j, -1)  # col_i += col_j, so w[j][i] = bb
             g, s, tt = _xgcd(aa, bb)
-            row_combine(i, j, s, tt, -(bb // g), aa // g)
-            # a[i][i] = g, a[i][j] = tt*bb, a[j][j] = lcm(aa, bb)
-            col_axpy(j, i, (tt * bb) // g)
+            # rows i, j <- [[s, tt], [-bb/g, aa/g]] times rows i, j; det 1
+            u, v = -(bb // g), aa // g
+            ri, rj = w[i], w[j]
+            w[i] = [s * x + tt * y for x, y in zip(ri, rj)]
+            w[j] = [u * x + v * y for x, y in zip(ri, rj)]
+            # w[i][i] = g, w[i][j] = tt*bb, w[j][j] = lcm(aa, bb)
+            _col_axpy(w, j, i, (tt * bb) // g)
         if fixed:
             break
 
-    u = unimodular_inverse(IntMatrix._of(tuple(map(tuple, r_acc))))
-    v = unimodular_inverse(IntMatrix._of(tuple(map(tuple, c_acc))))
-    return SmithDecomposition(u, IntMatrix._of(tuple(map(tuple, a))), v)
-
+    top = w[:d]
+    return SmithDecomposition(
+        IntMatrix._of(tuple([tuple(row[d:]) for row in top])),
+        IntMatrix._of(tuple([tuple(row[:d]) for row in top])),
+        IntMatrix._of(tuple([tuple(row[:d]) for row in w[d:]])),
+    )

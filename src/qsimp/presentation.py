@@ -12,8 +12,8 @@ import json
 from itertools import product
 from typing import NamedTuple, Sequence
 
-from .errors import NonPositiveDiagonal, SingularMatrix, UnsupportedFormat
-from .intmat import IntMatrix, det, snf, unimodular_inverse
+from .errors import DimensionMismatch, NonPositiveDiagonal, SingularMatrix, UnsupportedFormat
+from .intmat import IntMatrix, det, snf
 
 UNITARY_NOTE = "commuting unitaries with full spectrum"
 
@@ -44,13 +44,14 @@ def index_set(f_diag: Sequence[int]) -> list[tuple[int, ...]]:
 def present(f: IntMatrix, g: IntMatrix, toeplitz: bool = False) -> Presentation:
     """Presentation of the algebra of (F, G), normalizing F first.
 
-    F gets replaced by the positive diagonal of its Smith decomposition and
-    G by the matching conjugate, a verdict-preserving move recorded in the
-    transform transcript. Already-diagonal positive F passes through
-    untouched.
+    With the Smith decomposition P F Q = D, F gets replaced by the positive
+    diagonal D and G by P G Q, a verdict-preserving move recorded in the
+    transform transcript, which writes F = U D V with U = P^{-1} and
+    V = Q^{-1}. Already-diagonal positive F passes through untouched.
+    F and G of different sizes raise DimensionMismatch.
     """
     if f.dim != g.dim:
-        raise ValueError("F and G must have equal dimensions")
+        raise DimensionMismatch("F and G must have equal dimensions")
     if det(f) == 0 or det(g) == 0:
         raise SingularMatrix("presentation needs nonsingular matrices")
     d = f.dim
@@ -59,9 +60,9 @@ def present(f: IntMatrix, g: IntMatrix, toeplitz: bool = False) -> Presentation:
         g_norm = g
         transform = ("F already positive diagonal; no transformation applied",)
     else:
-        u, dmat, v = snf(f)
+        p, dmat, q = snf(f)
         diag = tuple(dmat.rows[i][i] for i in range(d))
-        g_norm = unimodular_inverse(u) @ g @ unimodular_inverse(v)
+        g_norm = p @ g @ q
         transform = (
             "factored F = U D V with D = diag" + str(list(diag)),
             "replaced (F, G) by (D, U^{-1} G V^{-1})",

@@ -133,6 +133,9 @@ def normalize(f: IntMatrix, g: IntMatrix):
     applied. Sign flips of either matrix never change any lattice in the
     chain, so |det F| stands in for det F.
 
+    snf gives P adj(F) G Q = D, so U = P^{-1}, V = Q^{-1} and
+    D V U = D (P Q)^{-1}, one unimodular inversion.
+
     det F and adj(F) come from the chain's per-pair data, which raises
     DimensionMismatch or SingularMatrix for a pair out of scope; R5 then
     finds that data cached.
@@ -140,8 +143,8 @@ def normalize(f: IntMatrix, g: IntMatrix):
     back = _chain._sides(f, g)[1]
     df = back.c
     prod = back.adj_t.transpose() @ g
-    u, dmat, v = snf(prod)
-    t = dmat @ v @ u
+    p, dmat, q = snf(prod)
+    t = dmat @ unimodular_inverse(p @ q)
     transcript = [
         "left-compose with adj(F): (F, G) ~ (det F * I, adj(F) G)",
         "Smith rotation: (det F * I, U D V) ~ (det F * I, D V U)",

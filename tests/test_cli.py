@@ -206,6 +206,37 @@ def test_run_present():
     assert len(doc["presentation"]["relations"]) == 4
 
 
+def test_present_output_pinned_non_diagonal():
+    # F goes through the Smith decomposition; G becomes U^-1 G V^-1
+    line = job_line(command="present", d=2, F=[[2, 1], [0, 3]], G=[[-2, 3], [1, 4]])
+    assert run(parse_job(line)) == (
+        0,
+        '{"status":"Presentation","presentation":{"dim":2,"diag":[1,6],"index_set":[[0,0],[0,1],[0,2],[0,3],[0,4],[0,5]],"g_rows":[[3,-8],[5,-17]],"relations":[{"kind":"orthogonality","items":[]},{"kind":"monomial","items":[[0,0],[0,1],[0,2],[0,3],[0,4],[0,5]]},{"kind":"intertwine","items":[[0,1,[3,-8]],[1,6,[5,-17]]]},{"kind":"cover","items":[]}],"toeplitz":false,"transform":["factored F = U D V with D = diag[1, 6]","replaced (F, G) by (D, U^{-1} G V^{-1})"],"unitary_note":"commuting unitaries with full spectrum"}}',
+    )
+    code, text = run(parse_job(line, "text"))
+    assert code == 0
+    assert text.splitlines() == [
+        "status: Presentation",
+        "presentation:",
+        "  dim: 2",
+        "  diag: [1, 6]",
+        "  index_set: [[0, 0], [0, 1], [0, 2], [0, 3], [0, 4], [0, 5]]",
+        "  g_rows: [[3, -8], [5, -17]]",
+        "  relations:",
+        "    kind: orthogonality",
+        "    items: []",
+        "    kind: monomial",
+        "    items: [[0, 0], [0, 1], [0, 2], [0, 3], [0, 4], [0, 5]]",
+        "    kind: intertwine",
+        "    items: [[0, 1, [3, -8]], [1, 6, [5, -17]]]",
+        "    kind: cover",
+        "    items: []",
+        "  toeplitz: False",
+        "  transform: ['factored F = U D V with D = diag[1, 6]', 'replaced (F, G) by (D, U^{-1} G V^{-1})']",
+        "  unitary_note: commuting unitaries with full spectrum",
+    ]
+
+
 def test_run_oracle():
     job = parse_job(
         job_line(command="oracle", d=1, F=[[2]], G=[[3]], max_depth=4, epsilon=0.02)

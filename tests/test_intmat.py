@@ -223,13 +223,22 @@ def test_internal_results_equal_public_construction():
 
 
 def test_snf_examples():
-    u, dd, v = snf(IntMatrix.identity(3))
-    assert u == I3 and dd == I3 and v == I3
-    u, dd, v = snf(IntMatrix.diagonal([2, 3]))
-    assert dd == IntMatrix.diagonal([1, 6])
-    assert u @ dd @ v == IntMatrix.diagonal([2, 3])
-    u, dd, v = snf(IntMatrix.diagonal([2, 2]))
-    assert dd == IntMatrix.diagonal([2, 2])
+    p, dd, q = snf(IntMatrix.identity(3))
+    assert p == I3 and dd == I3 and q == I3
+    for m, diag in (
+        (IntMatrix.diagonal([2, 3]), [1, 6]),
+        (IntMatrix.diagonal([2, 2]), [2, 2]),
+        (IntMatrix([[2, 1], [0, 3]]), [1, 6]),
+        (IntMatrix([[-3]]), [3]),
+    ):
+        p, dd, q = snf(m)
+        assert dd == IntMatrix.diagonal(diag)
+        assert p @ m @ q == dd
+        assert abs(det(p)) == 1 and abs(det(q)) == 1
+    # the zero trailing block shows up at the first, second and last pivot
+    for rows in ([[0]], [[1, 2], [2, 4]], [[2, 0, 0], [0, 0, 0], [0, 0, 3]]):
+        with pytest.raises(SingularMatrix):
+            snf(IntMatrix(rows))
 
 
 @given(small_matrices(max_dim=4, lo=-9, hi=9))
@@ -239,9 +248,9 @@ def test_snf_properties(m):
         with pytest.raises(SingularMatrix):
             snf(m)
         return
-    u, dd, v = snf(m)
-    assert u @ dd @ v == m
-    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    p, dd, q = snf(m)
+    assert p @ m @ q == dd
+    assert abs(det(p)) == 1 and abs(det(q)) == 1
     diag = [dd.rows[i][i] for i in range(m.dim)]
     assert dd.is_diagonal()
     assert all(x > 0 for x in diag)

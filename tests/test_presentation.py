@@ -3,8 +3,14 @@ import math
 
 import pytest
 
-from helpers import seeded
-from qsimp.errors import NonPositiveDiagonal, SingularMatrix, UnsupportedFormat
+from helpers import count_calls, seeded
+from qsimp import intmat, presentation
+from qsimp.errors import (
+    DimensionMismatch,
+    NonPositiveDiagonal,
+    SingularMatrix,
+    UnsupportedFormat,
+)
 from qsimp.intmat import IntMatrix, det
 from qsimp.presentation import (
     Presentation,
@@ -54,6 +60,21 @@ def test_present_normalizes_non_diagonal():
     assert math.prod(p.diag) == abs(det(f))
     assert all(a > 0 for a in p.diag)
     assert len(p.transform) == 2
+
+
+def test_present_non_diagonal_inverts_nothing(monkeypatch):
+    inverses = count_calls(monkeypatch, (intmat, presentation), "unimodular_inverse")
+    dets = count_calls(monkeypatch, (intmat, presentation), "det")
+    p = present(IntMatrix([[2, 1], [0, 3]]), IntMatrix([[-2, 3], [1, 4]]))
+    assert p.diag == (1, 6)
+    assert not inverses
+    # present checks det(F) and det(G); snf finds a singular input itself
+    assert dets == {"qsimp.presentation": 2}
+
+
+def test_present_rejects_mismatched_sizes():
+    with pytest.raises(DimensionMismatch):
+        present(IntMatrix([[2]]), IntMatrix.identity(2))
 
 
 def test_present_rejects_singular():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import count_calls, rand_nonsingular, rand_unimodular, seeded
-from qsimp import chain, lattice, simplicity
+from qsimp import chain, intmat, lattice, simplicity
 from qsimp.chain import DENSE, NOT_DENSE, decide_density
 from qsimp.errors import DimensionMismatch, NotTriangular, SingularMatrix
 from qsimp.intmat import IntMatrix
@@ -126,10 +126,10 @@ def test_normalize_examples():
     g = IntMatrix([[3, 1], [1, 2]])
     n, t, _ = normalize(f, g)
     assert n == 1
-    from qsimp.intmat import adjugate, det, snf
+    from qsimp.intmat import adjugate, snf, unimodular_inverse
 
-    u, dd, v = snf(adjugate(f) @ g)
-    assert t == dd @ v @ u
+    p, dd, q = snf(adjugate(f) @ g)
+    assert t == dd @ unimodular_inverse(q) @ unimodular_inverse(p)
 
 
 def test_normalize_rejects_pairs_out_of_scope():
@@ -157,6 +157,16 @@ def test_r5_decide_computes_each_det_twice_and_adj_f_once(monkeypatch):
     # decide_density share
     assert calls["det", f] <= 2 and calls["det", g] <= 2
     assert calls["adjugate", f] == 1
+
+
+def test_r5_decide_inverts_once_and_snf_computes_no_det(monkeypatch):
+    inverses = count_calls(monkeypatch, (intmat, simplicity), "unimodular_inverse")
+    dets = count_calls(monkeypatch, (intmat,), "det")
+    v = decide(IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]]))
+    assert v.rules_fired[-1][0] == "R5-density"
+    # normalize's D (P Q)^-1; snf returns P and Q without inverting them
+    assert inverses == {"qsimp.simplicity": 1}
+    assert not dets
 
 
 def test_r5_decide_makes_no_hnf(monkeypatch):
