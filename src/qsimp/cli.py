@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -249,6 +251,85 @@ def _run_line(args: tuple[str, str]) -> tuple[int, str]:
     return run(job)
 
 
+def _workers(jobs: int, lines: int) -> int:
+    """Processes for `--jobs jobs`: at most one per line and one per usable
+    CPU, and 1 where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform that forks
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, lines, cpus))
+
+
+def _fork_share(share: list):
+    """Fork a child that runs `share` and writes its results to a pipe as
+    marshal bytes; returns (pid, read end), or None if no child started."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        # the child never returns into the caller: os._exit skips atexit
+        # hooks and the flush of stdio buffers inherited from the parent
+        code = 1
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as pipe:
+                pipe.write(marshal.dumps([_run_line(t) for t in share]))
+            code = 0
+        finally:
+            os._exit(code)
+    # closed here so that children forked later do not hold it open
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def _run_batch(tagged: list, workers: int) -> list:
+    """`_run_line` over `tagged`, in input order.
+
+    Share k is tagged[k::workers], so a batch ordered from cheap to costly
+    splits evenly. Forked children run shares 1 .. workers-1 while this
+    process runs share 0. A share whose child exits nonzero, or whose bytes
+    are not a list of one result per line, runs here again, so the results
+    do not depend on `workers`. Every child is reaped before this returns.
+    """
+    results = [None] * len(tagged)
+    children = []  # (pid, read end) of shares 1, 2, ...
+    blobs, statuses = [], []
+    try:
+        for k in range(1, workers):
+            child = _fork_share(tagged[k::workers])
+            if child is None:  # no more processes: the rest run here
+                break
+            children.append(child)
+        for k in (0, *range(len(children) + 1, workers)):
+            results[k::workers] = [_run_line(t) for t in tagged[k::workers]]
+        blobs = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not blobs:  # interrupted: a child may still be running
+                from signal import SIGKILL  # not loaded at start-up
+
+                os.kill(pid, SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for k, (data, status) in enumerate(zip(blobs, statuses), 1):
+        share = tagged[k::workers]
+        try:
+            out = marshal.loads(data) if status == 0 else None
+        except (EOFError, ValueError, TypeError):
+            out = None
+        if type(out) is not list or len(out) != len(share):
+            out = [_run_line(t) for t in share]
+        results[k::workers] = out
+    return results
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qsimp",
@@ -259,7 +340,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         default="-",
         help="file with one JSON job per line (default stdin)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (at most one per line and CPU)"
+    )
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="default output format"
     )
@@ -272,18 +355,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
 
     tagged = [(ln, opts.format) for ln in lines]
-    if opts.jobs > 1 and len(lines) > 1:
-        # imported here: the pool's multiprocessing stack would double the
-        # start-up of every --jobs 1 batch
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a few chunks per worker: one job per task costs more in dispatch
-        # than a short job takes to run
-        chunksize = max(1, len(lines) // (4 * opts.jobs))
-        with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-            results = list(pool.map(_run_line, tagged, chunksize=chunksize))
-    else:
-        results = [_run_line(t) for t in tagged]
+    results = _run_batch(tagged, _workers(opts.jobs, len(tagged)))
 
     worst = EXIT_DEFINITE
     for code, payload in results:

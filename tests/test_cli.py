@@ -1,13 +1,16 @@
 import json
+import marshal
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import rand_matrix, seeded
+from qsimp import cli
 from qsimp.cli import main, parse_job, run
 from qsimp.errors import DimensionMismatch, ParseError
 from qsimp.intmat import IntMatrix
@@ -333,17 +336,158 @@ def _mixed_batch(rng, n):
     return lines
 
 
-def test_main_jobs_2_matches_jobs_1(tmp_path, capsys):
-    # enough lines that each worker task carries a chunk of several jobs
+def _uncapped(monkeypatch):
+    """Let --jobs N fork N - 1 children on a host with fewer CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+
+def _count_forks(monkeypatch):
+    forks, real_fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_main_jobs_2_matches_jobs_1(tmp_path, capsys, monkeypatch):
+    # every stride from 2 to 4, in both formats: text payloads span lines
+    _uncapped(monkeypatch)
+    forks = _count_forks(monkeypatch)
     path = tmp_path / "jobs.jsonl"
     path.write_text("\n".join(_mixed_batch(seeded(71), 240)) + "\n")
-    code_1 = main(["--input", str(path), "--jobs", "1"])
-    out_1 = capsys.readouterr().out
-    code_2 = main(["--input", str(path), "--jobs", "2"])
-    out_2 = capsys.readouterr().out
-    assert code_1 == code_2
-    assert out_2 == out_1
-    assert len(out_1.splitlines()) == 240
+    for fmt in ("json", "text"):
+        code_1 = main(["--input", str(path), "--jobs", "1", "--format", fmt])
+        out_1 = capsys.readouterr().out
+        assert forks == []
+        for jobs in (2, 3, 4):
+            code = main(["--input", str(path), "--jobs", str(jobs), "--format", fmt])
+            assert (code, capsys.readouterr().out) == (code_1, out_1)
+            assert len(forks) == jobs - 1
+            forks.clear()
+        if fmt == "json":
+            assert len(out_1.splitlines()) == 240
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("count, forked", [(1, 0), (3, 2)])
+def test_main_fewer_lines_than_workers(tmp_path, capsys, monkeypatch, count, forked):
+    _uncapped(monkeypatch)
+    forks = _count_forks(monkeypatch)
+    lines = _mixed_batch(seeded(5), count)
+    expected = _main_on(tmp_path, capsys, lines, "--jobs", "1")
+    assert _main_on(tmp_path, capsys, lines, "--jobs", "4") == expected
+    assert len(forks) == forked
+    assert len(expected[1]) == count
+
+
+def test_jobs_capped_at_lines_and_cpus(tmp_path, capsys, monkeypatch):
+    # --jobs 10**6 forks one child fewer than min(lines, usable CPUs)
+    lines = [job_line(command="decide", d=1, F=[[k]], G=[[3]]) for k in range(2, 7)]
+    expected = _main_on(tmp_path, capsys, lines, "--jobs", "1")
+    forks = _count_forks(monkeypatch)
+    assert _main_on(tmp_path, capsys, lines, "--jobs", str(10**6)) == expected
+    assert len(forks) == min(5, len(os.sched_getaffinity(0))) - 1
+    _uncapped(monkeypatch)
+    forks.clear()
+    assert _main_on(tmp_path, capsys, lines, "--jobs", str(10**6)) == expected
+    assert len(forks) == 4
+    _assert_no_children_left()
+
+
+def test_worker_count(monkeypatch):
+    _uncapped(monkeypatch)
+    assert [cli._workers(j, 5) for j in (-3, 0, 1, 2, 10**6)] == [1, 1, 1, 2, 5]
+    assert cli._workers(10**6, 10**6) == 8
+    assert cli._workers(4, 0) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._workers(10**6, 10**6) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._workers(10**6, 10**6) == 1
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._workers(10**6, 10**6) == 1
+
+
+def _die_in_children(monkeypatch, action):
+    parent, run_line = os.getpid(), cli._run_line
+
+    def patched(args):
+        if os.getpid() != parent:
+            action()
+        return run_line(args)
+
+    monkeypatch.setattr(cli, "_run_line", patched)
+
+
+def test_dead_worker_share_reruns_here(tmp_path, capsys, monkeypatch):
+    _uncapped(monkeypatch)
+    lines = _mixed_batch(seeded(9), 24)
+    expected = _main_on(tmp_path, capsys, lines, "--jobs", "1")
+    _die_in_children(monkeypatch, lambda: os._exit(3))
+    assert _main_on(tmp_path, capsys, lines, "--jobs", "3") == expected
+    _assert_no_children_left()
+
+
+_dumps, _exit = marshal.dumps, os._exit
+
+
+@pytest.mark.parametrize("dumps, exit_code", [
+    (lambda x: b"\xff not marshal", 0),
+    (lambda x: _dumps(x[1:]), 0),
+    (lambda x: _dumps(tuple(x)), 0),
+    (lambda x: _dumps([(0, "forged")] * len(x)), 5),
+], ids=["garbage", "short-list", "tuple", "nonzero-exit"])
+def test_malformed_worker_output_reruns_here(tmp_path, capsys, monkeypatch, dumps, exit_code):
+    # children write these bytes, then exit with exit_code if they succeeded
+    _uncapped(monkeypatch)
+    lines = _mixed_batch(seeded(9), 24)
+    expected = _main_on(tmp_path, capsys, lines, "--jobs", "1")
+    monkeypatch.setattr(marshal, "dumps", dumps)
+    monkeypatch.setattr(os, "_exit", lambda code: _exit(code or exit_code))
+    assert _main_on(tmp_path, capsys, lines, "--jobs", "3") == expected
+    _assert_no_children_left()
+
+
+def test_failed_fork_runs_the_share_here(tmp_path, capsys, monkeypatch):
+    _uncapped(monkeypatch)
+    lines = _mixed_batch(seeded(9), 24)
+    expected = _main_on(tmp_path, capsys, lines, "--jobs", "1")
+
+    def refuse():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert _main_on(tmp_path, capsys, lines, "--jobs", "3") == expected
+    _assert_no_children_left()
+
+
+def test_interrupted_parent_reaps_its_children(tmp_path, capsys, monkeypatch):
+    # the children would sleep for a minute; the parent kills and reaps them
+    _uncapped(monkeypatch)
+    lines = _mixed_batch(seeded(9), 6)
+    _die_in_children(monkeypatch, lambda: time.sleep(60))
+    parent, run_line = os.getpid(), cli._run_line
+
+    def interrupt(args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return run_line(args)
+
+    monkeypatch.setattr(cli, "_run_line", interrupt)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _main_on(tmp_path, capsys, lines, "--jobs", "3")
+    assert time.monotonic() - start < 30
+    _assert_no_children_left()
 
 
 def test_env_var_max_depth_ignored(monkeypatch):
@@ -442,15 +586,21 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["status"] == "Simple"
 
 
-def test_cold_start_loads_no_pool_or_dataclasses():
-    # --jobs 1 needs neither the process pool's multiprocessing stack nor
-    # dataclasses (which pulls in inspect); the bench tracer looks up
-    # qsimp.presentation and qsimp.finite_oracle after importing the CLI
+def test_cold_start_loads_no_pool_or_dataclasses(tmp_path):
+    # no --jobs value needs the process pool's multiprocessing stack, and
+    # none needs dataclasses (which pulls in inspect); the bench tracer looks
+    # up qsimp.presentation and qsimp.finite_oracle after importing the CLI
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("\n".join(job_line(command="decide", d=1, F=[[k]], G=[[3]])
+                              for k in (2, 4, 5)) + "\n")
     probe = (
         "import qsimp.cli, sys; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
+        "modules = lambda: sorted(m for m in ('concurrent.futures', 'multiprocessing', "
         "'dataclasses', 'inspect', 'qsimp.presentation', 'qsimp.finite_oracle') "
-        "if m in sys.modules))"
+        "if m in sys.modules); "
+        "print(modules()); "
+        f"[qsimp.cli.main(['--input', {str(path)!r}, '--jobs', j]) for j in ('1', '2')]; "
+        "print(modules())"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -460,4 +610,6 @@ def test_cold_start_loads_no_pool_or_dataclasses():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['qsimp.finite_oracle', 'qsimp.presentation']"
+    out = proc.stdout.splitlines()
+    assert len(out) == 8
+    assert out[0] == out[7] == "['qsimp.finite_oracle', 'qsimp.presentation']"
