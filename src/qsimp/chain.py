@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 from . import poly
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
-from .intmat import IntMatrix, adjugate, charpoly, det, hnf_rows
+from .intmat import IntMatrix, charpoly, det_adjugate, hnf_rows
 from .lattice import (
     IntegerSublattice,
     RationalLattice,
@@ -89,16 +89,17 @@ class _Side(NamedTuple):
 def _sides(f: IntMatrix, g: IntMatrix) -> tuple[_Side, _Side]:
     """Check the pair and return the forward and the backward side.
 
-    Each matrix's det and adjugate is computed once; the cache keeps a few
-    pairs, so a chain's calls in both orientations hit it.
+    Each matrix's det and adjugate come from one Faddeev-LeVerrier pass;
+    the cache keeps a few pairs, so a chain's calls in both orientations
+    hit it.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("F and G must have equal dimensions")
-    df, dg = det(f), det(g)
+    (df, adj_f), (dg, adj_g) = det_adjugate(f), det_adjugate(g)
     if df == 0 or dg == 0:
         raise SingularMatrix("chain iteration needs nonsingular F and G")
     f_t, g_t = f.transpose(), g.transpose()
-    adj_f_t, adj_g_t = adjugate(f).transpose(), adjugate(g).transpose()
+    adj_f_t, adj_g_t = adj_f.transpose(), adj_g.transpose()
     return (
         _Side(adj_g_t @ f_t, adj_g_t, dg, f_t @ adj_g_t),
         _Side(adj_f_t @ g_t, adj_f_t, df, g_t @ adj_f_t),

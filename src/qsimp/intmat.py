@@ -188,11 +188,16 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     return _faddeev_leverrier(m)[1]
 
 
+def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
+    """(det(m), adj(m)) from one Faddeev-LeVerrier pass, with no Bareiss
+    elimination: det(m) = (-1)^d c_d."""
+    coeffs, adj = _faddeev_leverrier(m)
+    return (coeffs[-1] if m.dim % 2 == 0 else -coeffs[-1]), adj
+
+
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1."""
-    coeffs, adj = _faddeev_leverrier(m)
-    # det(m) = (-1)^d c_d
-    dt = coeffs[-1] if m.dim % 2 == 0 else -coeffs[-1]
+    dt, adj = det_adjugate(m)
     if abs(dt) != 1:
         raise ValueError("matrix is not unimodular")
     if dt == 1:

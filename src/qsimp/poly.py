@@ -5,8 +5,9 @@ no leading zeros; [1, 0, -2] is x^2 - 2. `factor` is the classical
 Zassenhaus method (Zassenhaus, J. Number Theory 1, 1969): split off the
 repeated part, factor a squarefree image modulo a small prime with
 Cantor-Zassenhaus (Math. Comp. 36, 1981), Hensel-lift the modular factors
-and recombine them exhaustively. Integer roots are stripped first by
-divisor search, and a monic remainder of degree at most 3 without integer
+and recombine them exhaustively. Integer roots are stripped first: each
+candidate from a divisor search is tested by evaluation, and only a root
+costs a division. A monic remainder of degree at most 3 without integer
 roots is irreducible, so small inputs never reach the lifting.
 """
 
@@ -40,14 +41,13 @@ def factor(f: Sequence[int]) -> tuple[int, list[tuple[list[int], int]]]:
         out.append(([1, 0], zeros))
         f = f[: len(f) - zeros]
     if len(f) > 1:
-        squarefree = _divexact(f, _gcd(f, _derivative(f)))
-        for p in _factor_squarefree(squarefree):
-            mult = 0
-            while True:
-                q = _divexact(f, p)
-                if q is None:
-                    break
-                f, mult = q, mult + 1
+        # gcd(f, f') is the product of p^(mult - 1) over the factors p of f,
+        # so a squarefree f makes no trial division for multiplicities
+        repeated = _gcd(f, _derivative(f))
+        for p in _factor_squarefree(_divexact(f, repeated)):
+            mult = 1
+            while (q := _divexact(repeated, p)) is not None:
+                repeated, mult = q, mult + 1
             out.append((p, mult))
     out.sort(key=lambda pm: (len(pm[0]), pm[0]))
     return content, out
@@ -68,10 +68,10 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
     out = []
     roots = _root_candidates(f)
     for r in roots or ():
-        quo = _divexact(f, [1, -r])
-        if quo is not None:
+        # x - r is monic, so it divides f over Z exactly when f(r) = 0
+        if not _value(f, r):
             out.append([1, -r])
-            f = quo
+            f = _divexact(f, [1, -r])
     if len(f) > 1:
         if len(f) == 2 or (roots is not None and f[0] == 1 and len(f) <= 4):
             out.append(f)
@@ -252,6 +252,14 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
 def _derivative(a: list[int]) -> list[int]:
     n = len(a) - 1
     return _strip([c * (n - i) for i, c in enumerate(a[:-1])])
+
+
+def _value(a: list[int], x: int) -> int:
+    """a(x) by Horner's rule."""
+    acc = 0
+    for c in a:
+        acc = acc * x + c
+    return acc
 
 
 def _divexact(a: list[int], b: list[int]):

@@ -5,15 +5,17 @@ chain-based density decision:
 
   R0  a zero determinant is out of scope (the endomorphism is not onto);
   R1  two unimodular matrices generate nothing, hence never simple;
-  R2  normalize (F, G) to (|det F| * I, D V U) through the adjugate and a
-      Smith decomposition of adj(F) * G, a verdict-preserving move;
   R3  a dilation matrix against a unimodular partner is simple;
   R4  scalar-versus-triangular pairs obey the diagonal avoidance test;
   R5  otherwise density of the generated subgroup decides, exactly.
 
-R5 always reaches a verdict, so only R0 answers Unknown.
+R5 always reaches a verdict, so only R0 answers Unknown, and R5 is the one
+path past the closed forms.
 
-All reductions multiply on one side by a nonsingular matrix and preserve the
+R2, `normalize`, is not a step of the cascade: it moves (F, G) to the
+verdict-equivalent pair (|det F| * I, D V U) through the adjugate and a
+Smith decomposition of adj(F) * G, and decides nothing by itself. All
+reductions multiply on one side by a nonsingular matrix and preserve the
 verdict, which the test suite exercises as the module's central property.
 """
 
@@ -23,7 +25,7 @@ from typing import NamedTuple, Optional
 
 from . import chain as _chain
 from .errors import DimensionMismatch, NotTriangular, SingularMatrix
-from .intmat import IntMatrix, charpoly, det, snf, unimodular_inverse
+from .intmat import IntMatrix, charpoly, det, det_adjugate, snf, unimodular_inverse
 
 SIMPLE = "Simple"
 NOT_SIMPLE = "NotSimple"
@@ -134,16 +136,17 @@ def normalize(f: IntMatrix, g: IntMatrix):
     chain, so |det F| stands in for det F.
 
     snf gives P adj(F) G Q = D, so U = P^{-1}, V = Q^{-1} and
-    D V U = D (P Q)^{-1}, one unimodular inversion.
-
-    det F and adj(F) come from the chain's per-pair data, which raises
-    DimensionMismatch or SingularMatrix for a pair out of scope; R5 then
-    finds that data cached.
+    D V U = D (P Q)^{-1}, one unimodular inversion. det F and adj(F) come
+    from one Faddeev-LeVerrier pass. A pair out of scope raises
+    DimensionMismatch or SingularMatrix; a singular G leaves adj(F) G
+    singular, which snf rejects.
     """
-    back = _chain._sides(f, g)[1]
-    df = back.c
-    prod = back.adj_t.transpose() @ g
-    p, dmat, q = snf(prod)
+    if f.dim != g.dim:
+        raise DimensionMismatch("F and G must have equal dimensions")
+    df, adj_f = det_adjugate(f)
+    if df == 0:
+        raise SingularMatrix("normalize needs det(F) != 0")
+    p, dmat, q = snf(adj_f @ g)
     t = dmat @ unimodular_inverse(p @ q)
     transcript = [
         "left-compose with adj(F): (F, G) ~ (det F * I, adj(F) G)",
@@ -226,25 +229,6 @@ def decide(f: IntMatrix, g: IntMatrix) -> SimplicityVerdict:
                     "R4-triangular",
                     f"{name_a} = {n_a} * I and {name_b} triangular with no "
                     f"diagonal entry of modulus {n_a}{swapped}",
-                )
-            )
-            return _verdict(SIMPLE, rules, hyp)
-
-    n, t, _transcript = normalize(f, g)
-    rules.append(
-        (
-            "R2-normalize",
-            f"reduced to ({n} * I, D V U) through adj(F) and a Smith "
-            "decomposition",
-        )
-    )
-    if t.is_upper_triangular() or t.is_lower_triangular():
-        if triangular_criterion(n, t):
-            rules.append(
-                (
-                    "R4-triangular",
-                    f"normalized partner triangular with no diagonal entry "
-                    f"of modulus {n}",
                 )
             )
             return _verdict(SIMPLE, rules, hyp)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import count_calls, rand_nonsingular, rand_unimodular, seeded
-from qsimp import chain, cli, lattice
+from qsimp import chain, cli, intmat, lattice
 from qsimp.chain import (
     DENSE,
     NOT_DENSE,
@@ -147,18 +147,21 @@ def test_fused_step_matches_pushforward_then_preimage():
 
 
 def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
-    calls = Counter()
-    for name in ("det", "adjugate"):
-        def counted(m, orig=getattr(chain, name), name=name):
-            calls[name, m] += 1
-            return orig(m)
+    passes = Counter()
 
-        monkeypatch.setattr(chain, name, counted)
+    def counted(m, orig=intmat._faddeev_leverrier):
+        passes[m] += 1
+        return orig(m)
+
+    monkeypatch.setattr(intmat, "_faddeev_leverrier", counted)
+    dets = count_calls(monkeypatch, (intmat, chain, lattice), "det")
     chain._sides.cache_clear()
     f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
     decide_density(f, g)
-    assert set(calls) == {(n, m) for n in ("det", "adjugate") for m in (f, g)}
-    assert max(calls.values()) == 1
+    # one Faddeev-LeVerrier pass gives each matrix's det and adjugate, and
+    # no Bareiss det runs
+    assert passes[f] == 1 and passes[g] == 1
+    assert not dets
 
 
 def test_compute_chain_hnf_count(monkeypatch):

@@ -150,22 +150,22 @@ PINNED_DECIDE = [
         [[0, -3], [1, 0]],
         [[-4, 1], [-3, 0]],
         0,
-        '{"status":"Simple","rules":["R2-normalize","R4-triangular"],"hypotheses":{"det_f":3,"det_g":3,"ker_f_size":3,"ker_g_size":3,"condition_L":true,"both_automorphisms":false},"kirchberg":true}',
-        "rules: ['R2-normalize: reduced to (3 * I, D V U) through adj(F) and a Smith decomposition', 'R4-triangular: normalized partner triangular with no diagonal entry of modulus 3']",
+        '{"status":"Simple","rules":["R5-density"],"hypotheses":{"det_f":3,"det_g":3,"ker_f_size":3,"ker_g_size":3,"condition_L":true,"both_automorphisms":false},"kirchberg":true}',
+        "rules: ['R5-density: generated subgroup dense: the obstruction spaces of the two chains meet only in 0']",
     ),
     (
         [[0, 1], [4, -4]],
         [[3, -1], [-4, -2]],
         0,
-        '{"status":"Simple","rules":["R2-normalize","R5-density"],"hypotheses":{"det_f":-4,"det_g":-10,"ker_f_size":4,"ker_g_size":10,"condition_L":true,"both_automorphisms":false},"kirchberg":true}',
-        'rules: [\'R2-normalize: reduced to (4 * I, D V U) through adj(F) and a Smith decomposition\', "R5-density: generated subgroup dense: no factor of a chain\'s characteristic polynomial is monic over Z, so no character survives it"]',
+        '{"status":"Simple","rules":["R5-density"],"hypotheses":{"det_f":-4,"det_g":-10,"ker_f_size":4,"ker_g_size":10,"condition_L":true,"both_automorphisms":false},"kirchberg":true}',
+        'rules: ["R5-density: generated subgroup dense: no factor of a chain\'s characteristic polynomial is monic over Z, so no character survives it"]',
     ),
     (
         [[1, 2], [-4, 3]],
         [[-4, -2], [-1, -3]],
         0,
-        '{"status":"NotSimple","rules":["R2-normalize","R5-density"],"witness":[17,1],"hypotheses":{"det_f":11,"det_g":10,"ker_f_size":11,"ker_g_size":10,"condition_L":true,"both_automorphisms":false},"kirchberg":false}',
-        "rules: ['R2-normalize: reduced to (11 * I, D V U) through adj(F) and a Smith decomposition', 'R5-density: generated subgroup not dense, witness character [17, 1]']",
+        '{"status":"NotSimple","rules":["R5-density"],"witness":[17,1],"hypotheses":{"det_f":11,"det_g":10,"ker_f_size":11,"ker_g_size":10,"condition_L":true,"both_automorphisms":false},"kirchberg":false}',
+        "rules: ['R5-density: generated subgroup not dense, witness character [17, 1]']",
     ),
     (
         [[-3, 1], [3, -1]],
@@ -181,7 +181,7 @@ PINNED_DECIDE = [
 @pytest.mark.parametrize(
     "f, g, code, json_line, text_rules",
     PINNED_DECIDE,
-    ids=["R1", "R3-G-unimodular", "R3-F-unimodular", "R4-F-scalar", "R4-G-scalar", "R2-R4", "R5-Dense", "R5-NotDense", "R0"],
+    ids=["R1", "R3-G-unimodular", "R3-F-unimodular", "R4-F-scalar", "R4-G-scalar", "R5-Dense-triangular-normal-form", "R5-Dense", "R5-NotDense", "R0"],
 )
 def test_decide_output_pinned(f, g, code, json_line, text_rules):
     line = job_line(command="decide", d=2, F=f, G=g)

@@ -2,7 +2,8 @@ import pytest
 
 from helpers import rand_matrix, seeded
 from qsimp.intmat import IntMatrix, charpoly
-from qsimp.poly import _factor_mod, _mul, factor
+from qsimp import poly
+from qsimp.poly import _factor_mod, _factor_squarefree, _mul, _root_candidates, factor
 
 
 def corpus():
@@ -66,6 +67,75 @@ def test_factor_hand_cases():
     big = 10**12 + 39
     want = (1, [([1, -big], 1), ([1, 0, 1], 1)])
     assert factor(_mul([1, -big], [1, 0, 1])) == want
+
+
+# 2^4 3^2 5 7 11 13; its divisors up to 60 are the roots below
+HIGHLY_COMPOSITE = 720720
+ROOTS = [t for t in range(1, 61) if HIGHLY_COMPOSITE % t == 0]
+# cofactors with no integer root; the first three keep the lead non-monic
+COFACTORS = [[2, 1], [3, -1], [2, 0, 3], [1], [1, 0, 1], [1, 1, 1]]
+# roots equal to 1 + max|a_i| // |a_0|, the last candidate the search keeps:
+# (x - 2)(2x + 1) and (x + 2)(3x - 1)
+AT_CAUCHY_BOUND = [([2, -3, -2], 2), ([3, 5, -2], -2)]
+
+
+def linear_products(rng, repeats):
+    """Seeded products of x - r over 1..4 roots r, either sign, dividing
+    HIGHLY_COMPOSITE, times a cofactor; with `repeats` a root may recur."""
+    out = []
+    for _ in range(40):
+        roots = [rng.choice((1, -1)) * rng.choice(ROOTS) for _ in range(rng.randint(1, 4))]
+        if repeats and rng.random() < 0.5:
+            roots += roots[: rng.randint(1, 2)]
+        if not repeats:
+            roots = sorted(set(roots))
+        f = rng.choice(COFACTORS)
+        for r in roots:
+            f = _mul(f, [1, -r])
+        out.append((f, roots))
+    return out
+
+
+def test_factor_root_products_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = seeded(139)
+    cases = [f for f, _ in linear_products(rng, repeats=True)]
+    cases += [f for f, _ in AT_CAUCHY_BOUND]
+    cases += [[6 * c for c in f] for f in cases[:5]]  # content and lead 6
+    for f in cases:
+        content, factors = sympy.factor_list(sympy.Poly(f, x))
+        want = sorted(([int(c) for c in p.all_coeffs()], m) for p, m in factors)
+        got = factor(f)
+        assert (got[0], sorted(got[1])) == (int(content), want), f
+
+
+def test_root_candidates_cost_no_division_unless_roots(monkeypatch):
+    calls = []
+
+    def counted(a, b, orig=poly._divexact):
+        if len(b) == 2 and b[0] == 1:  # not a Zassenhaus recombination
+            calls.append(b)
+        return orig(a, b)
+
+    monkeypatch.setattr(poly, "_divexact", counted)
+    for f, r in AT_CAUCHY_BOUND:
+        assert abs(r) == 1 + max(abs(c) for c in f[1:]) // abs(f[0])
+    rng = seeded(149)
+    cases = linear_products(rng, repeats=False)
+    cases += [(f, [r]) for f, r in AT_CAUCHY_BOUND]
+    for f, roots in cases:
+        for r in roots:
+            assert poly._value(f, r) == 0
+        candidates = _root_candidates(f)
+        assert set(roots) < set(candidates)
+        calls.clear()
+        got = _factor_squarefree(f)
+        # each root costs one exact division, every other candidate none
+        assert sorted(calls) == sorted([1, -r] for r in roots)
+        assert sorted(p for p in got if len(p) == 2 and p[0] == 1) == sorted(
+            [1, -r] for r in roots
+        )
 
 
 def test_charpoly_matches_sympy():

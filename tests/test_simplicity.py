@@ -139,10 +139,10 @@ def test_normalize_rejects_pairs_out_of_scope():
         normalize(m1(0), m1(3))
 
 
-def test_r5_decide_computes_each_det_twice_and_adj_f_once(monkeypatch):
+def test_r5_decide_runs_one_bareiss_det_and_one_adjugate_pass_per_matrix(monkeypatch):
     calls = Counter()
-    for module in (simplicity, chain, lattice):
-        for name in ("det", "adjugate"):
+    for module in (simplicity, chain, lattice, intmat):
+        for name in ("det", "adjugate", "det_adjugate"):
             if hasattr(module, name):
                 def counted(m, orig=getattr(module, name), name=name):
                     calls[name, m] += 1
@@ -153,20 +153,21 @@ def test_r5_decide_computes_each_det_twice_and_adj_f_once(monkeypatch):
     f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
     v = decide(f, g)
     assert v.rules_fired[-1][0] == "R5-density"
-    # check_hypotheses, then the chain's per-pair data that normalize and
-    # decide_density share
-    assert calls["det", f] <= 2 and calls["det", g] <= 2
-    assert calls["adjugate", f] == 1
+    # check_hypotheses runs Bareiss; the chain's per-pair data reads det and
+    # adjugate from one Faddeev-LeVerrier pass
+    assert calls == {
+        (name, m): 1 for name in ("det", "det_adjugate") for m in (f, g)
+    }
 
 
-def test_r5_decide_inverts_once_and_snf_computes_no_det(monkeypatch):
-    inverses = count_calls(monkeypatch, (intmat, simplicity), "unimodular_inverse")
-    dets = count_calls(monkeypatch, (intmat,), "det")
+def test_r5_decide_calls_no_snf_inverse_or_normalize(monkeypatch):
+    calls = {
+        name: count_calls(monkeypatch, (intmat, simplicity), name)
+        for name in ("snf", "unimodular_inverse", "normalize")
+    }
     v = decide(IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]]))
-    assert v.rules_fired[-1][0] == "R5-density"
-    # normalize's D (P Q)^-1; snf returns P and Q without inverting them
-    assert inverses == {"qsimp.simplicity": 1}
-    assert not dets
+    assert [rule for rule, _ in v.rules_fired] == ["R5-density"]
+    assert not any(calls.values())
 
 
 def test_r5_decide_makes_no_hnf(monkeypatch):
@@ -178,6 +179,29 @@ def test_r5_decide_makes_no_hnf(monkeypatch):
     # the chain's step bases are for chain levels, which R5 never builds
     assert not calls
     assert chain._kernel_basis.cache_info().currsize == 0
+
+
+def test_triangular_normal_forms_answer_simple_through_r5():
+    # pairs whose normalized partner passes the triangular test; with
+    # neither matrix unimodular or scalar no closed form applies, so R5
+    # alone must find them simple
+    rng = seeded(83)
+    found = 0
+    for _ in range(1500):
+        f = rand_nonsingular(rng, 2, -2, 2)
+        g = rand_nonsingular(rng, 2, -2, 2)
+        if any(abs(intmat.det(m)) == 1 or m.scalar_value() is not None for m in (f, g)):
+            continue
+        n, t, _ = normalize(f, g)
+        if not (t.is_upper_triangular() or t.is_lower_triangular()):
+            continue
+        if not triangular_criterion(n, t):
+            continue
+        found += 1
+        v = decide(f, g)
+        assert v.status == SIMPLE
+        assert [rule for rule, _ in v.rules_fired] == ["R5-density"]
+    assert found >= 20
 
 
 def test_decide_examples():
