@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
-from .intmat import IntMatrix, adjugate, det, hnf_rows
+from .intmat import IntMatrix, det, det_adjugate, hnf_rows
 
 
 class RationalLattice(NamedTuple):
@@ -83,10 +83,10 @@ def from_rational_rows(
 
 def from_kernel(g: IntMatrix) -> RationalLattice:
     """G^{-1} Z^d, whose image in the torus is the kernel of the G-endomorphism."""
-    dg = det(g)
+    dg, adj = det_adjugate(g)
     if dg == 0:
         raise SingularMatrix("kernel lattice needs det != 0")
-    rows = adjugate(g).transpose().rows
+    rows = adj.transpose().rows
     return _canonical(g.dim, abs(dg), rows)
 
 
@@ -115,12 +115,12 @@ def pushforward(f: IntMatrix, l: RationalLattice) -> RationalLattice:
 
 def preimage(g: IntMatrix, l: RationalLattice) -> RationalLattice:
     """G^{-1} L, the full preimage of L under the G-endomorphism."""
-    dg = det(g)
+    dg, adj = det_adjugate(g)
     if dg == 0:
         raise SingularMatrix("preimage needs det != 0")
     if g.dim != l.dim:
         raise DimensionMismatch("preimage dimension mismatch")
-    rows = (l.basis @ adjugate(g).transpose()).rows
+    rows = (l.basis @ adj.transpose()).rows
     return _canonical(l.dim, l.denom * abs(dg), rows)
 
 

@@ -166,16 +166,138 @@ def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
 
 def test_compute_chain_hnf_count(monkeypatch):
     calls = count_calls(monkeypatch, (chain, lattice), "hnf_rows")
+    folded = []
+
+    def counted(dim, denom, int_rows, start=None, orig=chain.from_rational_rows):
+        folded.append(len(int_rows))
+        return orig(dim, denom, int_rows, start)
+
+    monkeypatch.setattr(chain, "from_rational_rows", counted)
     chain._sides.cache_clear()
     chain._kernel_basis.cache_clear()
+    # det F = 5 and det G = 3 are prime, so each chain has one generator
     f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
     for n in (1, 5):
         calls.clear()
+        folded.clear()
         compute_chain(f, g, n)
-        # two steps, a join and an annihilator per level, one annihilator
-        # at level 0, and the step basis of each orientation on first use
+        # two level folds, a join and an annihilator per level, one
+        # annihilator at level 0, and the kernel basis of each orientation
+        # on first use
         assert sum(calls.values()) <= 4 * n + 3
+        # each level fold hands hnf_rows one row, not d
+        assert folded == [1] * (2 * n)
     assert chain._kernel_basis.cache_info().misses == 2
+    rng = seeded(61)
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        f = rand_nonsingular(rng, d, -6, 6)
+        g = rand_nonsingular(rng, d, -6, 6)
+        for a, b in ((f, g), (g, f)):
+            folded.clear()
+            _carried_levels(a, b, 6)
+            n = abs(det(b))
+            h = chain._kernel_basis(a, b)
+            r = sum(h.rows[i][i] != n for i in range(d))
+            assert len(folded) == 6 and max(folded) <= r
+
+
+def test_levels_check_the_generator_images(monkeypatch):
+    # a fold that drops the generator (1/3, 0) of F = diag(2, 1),
+    # G = diag(3, 1) leaves its image (2/9, 0) off the fold denominator 3
+    # of the next level
+    monkeypatch.setattr(chain, "from_rational_rows",
+                        lambda dim, denom, rows, start=None: standard(dim))
+    with pytest.raises(ConsistencyError):
+        compute_chain(IntMatrix.diagonal([2, 1]), IntMatrix.diagonal([3, 1]), 2)
+
+
+def _carried_levels(f, g, depth):
+    """Levels 0..depth as compute_chain builds them: step_pos from a Z^d
+    that carries the chain's generators."""
+    levels = [chain._origin(f, g)]
+    for _ in range(depth):
+        levels.append(step_pos(f, g, levels[-1]))
+    return levels
+
+
+def _plain_levels(f, g, depth):
+    """Levels 0..depth by step_pos from a plain Z^d, the d-row fold."""
+    levels = [standard(f.dim)]
+    for _ in range(depth):
+        levels.append(step_pos(f, g, levels[-1]))
+    return levels
+
+
+def _reference_chain(f, g, depth):
+    """The chain of compute_chain built from the d-row fold."""
+    pos, neg = _plain_levels(f, g, depth), _plain_levels(g, f, depth)
+    joins = [join(a, b) for a, b in zip(pos, neg)]
+    return chain.ChainTrace(
+        depth, pos, neg, joins, [dual_annihilator(l) for l in joins],
+        [lattice.index(l) for l in joins],
+    )
+
+
+def test_chain_levels_match_iterated_step_pos():
+    rng = seeded(67)
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        f = rand_nonsingular(rng, d, -6, 6)
+        g = rand_nonsingular(rng, d, -6, 6)
+        depth = rng.randint(1, 14)
+        for a, b in ((f, g), (g, f)):
+            carried = _carried_levels(a, b, depth)
+            assert carried == _plain_levels(a, b, depth), (a, b, depth)
+    tr = compute_chain(f, g, depth)
+    assert (tr.pos, tr.neg) == (_carried_levels(f, g, depth),
+                                _carried_levels(g, f, depth))
+
+
+def test_step_pos_takes_the_d_row_fold_off_a_carried_chain():
+    # a forward level carries rows for (f, g) only; the backward step
+    # from it, and any plain lattice, take the d-row fold
+    f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
+    level = _carried_levels(f, g, 3)[-1]
+    assert level.ahead[0][:2] == (f, g)
+    plain = lattice.RationalLattice(*level)
+    assert step_pos(g, f, level) == step_pos(g, f, plain)
+    assert step_pos(g, f, level) == preimage(f, pushforward(g, plain))
+    assert not hasattr(step_pos(g, f, level), "ahead")
+    assert step_pos(f, g, level) == step_pos(f, g, plain)
+
+
+CHAIN_HAND_CASES = [
+    # unimodular G: no generator, every forward level is Z^d
+    ([[2, 1], [1, 3]], [[2, 1], [1, 1]], 5),
+    # G = 2 I: K / Z^d is (Z/2)^2, so r = d
+    ([[1, 1], [-1, 2]], [[2, 0], [0, 2]], 6),
+    # negative determinants on both sides
+    ([[1, 2], [2, 1]], [[1, 2], [3, 1]], 7),
+    ([[1, 0, 1], [0, 2, 1], [1, 1, 0]], [[-3, 1, 0], [0, 1, 0], [0, 0, 1]], 5),
+    # d = 1
+    ([[-4]], [[6]], 9),
+    # depth 1
+    ([[3, 1], [1, -1]], [[0, 3], [1, 1]], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "f, g, depth", CHAIN_HAND_CASES,
+    ids=["unimodular-G", "G-2I", "neg-det-d2", "neg-det-d3", "d1", "depth1"],
+)
+def test_trace_hand_cases_match_iterated_step_pos(f, g, depth):
+    fm, gm = IntMatrix(f), IntMatrix(g)
+    ref = _reference_chain(fm, gm, depth)
+    assert compute_chain(fm, gm, depth) == ref
+    if abs(det(gm)) == 1:
+        assert all(l == standard(fm.dim) for l in ref.pos)
+    for output, render in (("json", cli._encode), ("text", cli._to_text)):
+        doc = {"command": "trace", "d": len(f), "F": f, "G": g,
+               "max_depth": depth, "output": output}
+        code, out = cli.run(cli.parse_job(json.dumps(doc)))
+        assert code == 0
+        assert out == render({"status": "Trace", "trace": cli._trace_dict(ref)})
 
 
 def test_chain_levels_work_as_dict_keys():

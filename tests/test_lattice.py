@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import lattice_points_oracle, rand_nonsingular, seeded
+from helpers import count_calls, lattice_points_oracle, rand_nonsingular, seeded
+from qsimp import intmat, lattice
 from qsimp.errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from qsimp.intmat import IntMatrix, det
 from qsimp.lattice import (
@@ -89,6 +91,26 @@ def test_preimage_examples():
     assert preimage(IntMatrix.identity(1), HALF) == HALF
     assert preimage(IntMatrix([[3]]), Z1) == THIRD
     assert preimage(IntMatrix([[2]]), THIRD) == from_rational_rows(1, 6, [[1]])
+
+
+def test_preimage_and_from_kernel_compute_det_and_adjugate_once(monkeypatch):
+    passes = Counter()
+
+    def counted(m, orig=intmat._faddeev_leverrier):
+        passes[m] += 1
+        return orig(m)
+
+    monkeypatch.setattr(intmat, "_faddeev_leverrier", counted)
+    dets = count_calls(monkeypatch, (intmat, lattice), "det")
+    g = IntMatrix([[1, 2], [3, -4]])
+    k = from_kernel(g)
+    assert passes[g] == 1
+    assert preimage(g, Z2) == k
+    # one Faddeev-LeVerrier pass gives the det and the adjugate of each
+    # call, and no Bareiss det runs
+    assert passes[g] == 2 and not dets
+    with pytest.raises(SingularMatrix):
+        preimage(IntMatrix([[1, 2], [2, 4]]), Z2)
 
 
 def test_dual_annihilator_examples():
