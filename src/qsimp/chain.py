@@ -10,18 +10,18 @@ limit by algebra, with no depth or search budget.
 One level is a single lattice canonicalisation: G^{-1}(F L + Z^d) equals
 G^{-1} F L + G^{-1} Z^d, so with L = span(B)/D it is spanned, over the
 denominator D |det G|, by the rows of B F^T adj(G)^T and of D adj(G)^T.
-That d-row fold is how `step_pos` maps any lattice. On the chain from Z^d
-it needs fewer rows. With M = G^{-1} F and K = G^{-1} Z^d the levels are
-L_1 = K and L_{k+1} = K + M L_k, and M^k Z^d lies in M^{k-1} K, inside
-L_k; so L_{k+1} = L_k + sum_i Z M^k w_i for any w_i that generate K / Z^d.
-The row HNF H of adj(G)^T modulo |det G| spans |det G| K, and its rows
-whose pivot is not |det G| give r such generators (r = 1 when |det G| is
-prime). `compute_chain` starts each chain at a Z^d that carries them,
-and each level that `step_pos` builds from a carrying level carries their
-next images, as integer numerators over the next fold denominator
-D |det G|; so each level folds only r rows into the known triangular
-basis |det G| B. The matrices that depend only on the pair are computed
-once per pair.
+That d-row fold is `step_pos`, which maps any lattice. `compute_chain`
+uses it for level 1 only, K = G^{-1} Z^d. With M = G^{-1} F the levels
+are L_1 = K and L_{k+1} = K + M L_k, and M^k Z^d lies in M^{k-1} K,
+inside L_k; so L_{k+1} = L_k + sum_i Z M^k w_i for any w_i that generate
+K / Z^d. The rows of K's canonical basis whose pivot is below its
+denominator give r such generators (r = 1 when |det G| is prime): a row
+with pivot D is D e_i plus a combination of later rows, so any level L
+is Z^d + sum Z row / D over the other rows. `_levels` carries the
+generators' images as integer numerators over the next fold denominator
+D |det G|, so each later level folds only r rows into the known
+triangular basis |det G| B. The matrices that depend only on the pair
+are computed once per pair.
 
 The density decision:
 
@@ -119,81 +119,61 @@ def _kernel_basis(f: IntMatrix, g: IntMatrix) -> IntMatrix:
     """Row HNF of adj(G)^T modulo |det G|, whose rows span |det G| G^{-1}
     Z^d, for the step_pos(f, g, .) orientation.
 
-    `step_pos` folds a lattice that carries no rows into it, scaled by
-    the lattice's denominator, and `_origin` takes the chain's generators
-    of G^{-1} Z^d / Z^d from its rows. Kept apart from _sides: only chain
-    levels need it, and a decide that reaches R5 builds none.
+    `step_pos` folds a lattice's rows into it, scaled by the lattice's
+    denominator. Kept apart from _sides: only chain levels need it, and a
+    decide that reaches R5 builds none.
     """
     side = _sides(f, g)[0]
     return hnf_rows(side.adj_t.rows, f.dim, abs(side.c))
-
-
-class _Level(RationalLattice):
-    """A level of the step_pos(f, g, .) chain from Z^d that carries what
-    the next step folds into it.
-
-    `ahead` is (orientation, rows, den): the images of the chain's
-    generators as integer rows over den = D |det G|, D the level's
-    denominator, and the orientation's (f, g, |det G|, columns of the row
-    map), so that the step needs no per-pair lookup. Equality, hashing
-    and serialisation see only the lattice.
-    """
-
-
-def _carrying(l: RationalLattice, orientation: tuple,
-              rows: list[list[int]], den: int) -> _Level:
-    level = _Level._make(l)
-    level.ahead = (orientation, rows, den)
-    return level
-
-
-def _origin(f: IntMatrix, g: IntMatrix) -> _Level:
-    """Z^d as the start of the step_pos(f, g, .) chain, carrying the
-    generators of G^{-1} Z^d / Z^d over |det G|."""
-    side = _sides(f, g)[0]
-    n = abs(side.c)
-    rows = [row for i, row in enumerate(_kernel_basis(f, g).rows) if row[i] != n]
-    orientation = (f, g, n, list(zip(*side.step.rows)))
-    return _carrying(standard(f.dim), orientation, rows, n)
 
 
 def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
     """One forward level: G-preimage of the F-image, in one canonicalisation.
 
     step_pos(g, f, l) is the backward level, the F-preimage of the G-image.
-    A level that carries rows for (f, g) folds only those and returns a
-    carrying level, by the recurrence of the module docstring; any other
-    lattice folds the d rows of its image. The carried images u over den
-    are kept modulo den: that moves an image by a vector of Z^d, and each
-    later image by one of M^j Z^d, inside the level it is folded into. A
-    folded image u / den lies in the new level, of denominator D', so its
-    M-image u step / (den det G) is, up to a sign that leaves the span
-    alone, the integer numerator (u step) D' / den over D' |det G|; the
-    division is checked.
+    It folds the d rows of l's image into the scaled kernel basis.
     """
     if l.dim != f.dim:
         raise DimensionMismatch("lattice and matrices differ in dimension")
-    ahead = getattr(l, "ahead", None)
-    if ahead is None or ahead[0][:2] != (f, g):
-        side = _sides(f, g)[0]
-        rows = (l.basis @ side.step).rows
-        start = [[l.denom * x for x in row] for row in _kernel_basis(f, g).rows]
-        return from_rational_rows(l.dim, l.denom * abs(side.c), rows, start)
-    orientation, rows, den = ahead
-    n, cols = orientation[2], orientation[3]
-    start = [[n * x for x in row] for row in l.basis.rows]
-    level = from_rational_rows(l.dim, den, rows, start)
-    q = math.gcd(level.denom, den)
-    mult, div = level.denom // q, den // q
-    next_den = level.denom * n
-    images = []
-    for row in rows:
-        image = [sum(map(mul, row, col)) for col in cols]
-        if any(x % div for x in image):
-            raise ConsistencyError("chain generator image is not integral "
-                                   "over the fold denominator")
-        images.append([x // div * mult % next_den for x in image])
-    return _carrying(level, orientation, images, next_den)
+    side = _sides(f, g)[0]
+    rows = (l.basis @ side.step).rows
+    start = [[l.denom * x for x in row] for row in _kernel_basis(f, g).rows]
+    return from_rational_rows(l.dim, l.denom * abs(side.c), rows, start)
+
+
+def _levels(f: IntMatrix, g: IntMatrix, depth: int) -> list[RationalLattice]:
+    """Levels 1..depth of the step_pos(f, g, .) chain from Z^d.
+
+    Level 1 is step_pos of Z^d; each later level folds only the images of
+    the generators of level 1 over Z^d, by the recurrence of the module
+    docstring. The images u over den are kept modulo den: that moves an
+    image by a vector of Z^d, and each later image by one of M^j Z^d,
+    inside the level it is folded into. An image u / den lies in the
+    level, whose denominator D divides den (the canonical form only
+    cancels a common factor), so its M-image u step / (den det G) is, up
+    to a sign that leaves the span alone, the integer numerator
+    (u step) / (den / D) over D |det G|; the division is checked.
+    """
+    level = step_pos(f, g, standard(f.dim))
+    levels = [level]
+    side = _sides(f, g)[0]
+    n, cols = abs(side.c), list(zip(*side.step.rows))
+    den = level.denom
+    rows = [row for i, row in enumerate(level.basis.rows) if row[i] != den]
+    while len(levels) < depth:
+        div, den = den // level.denom, level.denom * n
+        images = []
+        for row in rows:
+            image = [sum(map(mul, row, col)) for col in cols]
+            if any(x % div for x in image):
+                raise ConsistencyError("chain generator image is not integral "
+                                       "over the fold denominator")
+            images.append([x // div % den for x in image])
+        rows = images
+        start = [[n * x for x in row] for row in level.basis.rows]
+        level = from_rational_rows(f.dim, den, rows, start)
+        levels.append(level)
+    return levels
 
 
 def annihilator_step_pos(f: IntMatrix, g: IntMatrix, m: IntegerSublattice) -> IntegerSublattice:
@@ -213,15 +193,9 @@ def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     z = standard(f.dim)
-    pos, neg, joins = [z], [z], [z]
-    annihilators, indices = [dual_annihilator(z)], [1]
-    fwd, bwd = _origin(f, g), _origin(g, f)
-    for _ in range(depth):
-        fwd, bwd = step_pos(f, g, fwd), step_pos(g, f, bwd)
-        # the trace keeps plain lattices: carried rows held for every
-        # level would only load the garbage collector
-        pos.append(RationalLattice._make(fwd))
-        neg.append(RationalLattice._make(bwd))
+    pos, neg = [z, *_levels(f, g, depth)], [z, *_levels(g, f, depth)]
+    joins, annihilators, indices = [z], [dual_annihilator(z)], [1]
+    for fwd, bwd in zip(pos[1:], neg[1:]):
         lam = join(fwd, bwd)
         joins.append(lam)
         annihilators.append(dual_annihilator(lam))

@@ -41,23 +41,6 @@ class IntegerSublattice(NamedTuple):
     basis: IntMatrix
 
 
-def _canonical(
-    dim: int,
-    denom: int,
-    int_rows: Sequence[Sequence[int]],
-    start: Optional[Sequence[Sequence[int]]] = None,
-) -> RationalLattice:
-    """Canonicalize the lattice generated by int_rows / denom plus Z^d, or
-    plus start / denom when given (see hnf_rows)."""
-    h = hnf_rows(int_rows, dim, denom, start)
-    g = math.gcd(*itertools.chain.from_iterable(h.rows))
-    if g > 1:
-        # dividing an HNF matrix by a common factor keeps it in HNF
-        h = IntMatrix._of(tuple(tuple(x // g for x in row) for row in h.rows))
-        denom //= g
-    return RationalLattice(dim, denom, h)
-
-
 def standard(dim: int) -> RationalLattice:
     """Z^d, the bottom of every chain."""
     return RationalLattice(dim, 1, IntMatrix.identity(dim))
@@ -69,7 +52,8 @@ def from_rational_rows(
     int_rows: Sequence[Sequence[int]],
     start: Optional[Sequence[Sequence[int]]] = None,
 ) -> RationalLattice:
-    """Lattice generated by int_rows / denom together with Z^d.
+    """Canonical form of the lattice generated by int_rows / denom together
+    with Z^d.
 
     `start`, when given, is an upper-triangular integer basis with positive
     pivots whose span contains denom * Z^d; the lattice is then generated
@@ -78,7 +62,13 @@ def from_rational_rows(
     """
     if denom <= 0:
         raise ValueError("denominator must be positive")
-    return _canonical(dim, denom, int_rows, start)
+    h = hnf_rows(int_rows, dim, denom, start)
+    g = math.gcd(*itertools.chain.from_iterable(h.rows))
+    if g > 1:
+        # dividing an HNF matrix by a common factor keeps it in HNF
+        h = IntMatrix._of(tuple(tuple(x // g for x in row) for row in h.rows))
+        denom //= g
+    return RationalLattice(dim, denom, h)
 
 
 def from_kernel(g: IntMatrix) -> RationalLattice:
@@ -87,7 +77,7 @@ def from_kernel(g: IntMatrix) -> RationalLattice:
     if dg == 0:
         raise SingularMatrix("kernel lattice needs det != 0")
     rows = adj.transpose().rows
-    return _canonical(g.dim, abs(dg), rows)
+    return from_rational_rows(g.dim, abs(dg), rows)
 
 
 def join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
@@ -100,7 +90,7 @@ def join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
     # s1 * B1 spans s1 * denom1 * L1, which contains d * Z^d: fold B2 into it
     start = [[x * s1 for x in row] for row in l1.basis.rows]
     rows = [[x * s2 for x in row] for row in l2.basis.rows]
-    return _canonical(l1.dim, d, rows, start)
+    return from_rational_rows(l1.dim, d, rows, start)
 
 
 def pushforward(f: IntMatrix, l: RationalLattice) -> RationalLattice:
@@ -110,7 +100,7 @@ def pushforward(f: IntMatrix, l: RationalLattice) -> RationalLattice:
     if f.dim != l.dim:
         raise DimensionMismatch("pushforward dimension mismatch")
     rows = (l.basis @ f.transpose()).rows
-    return _canonical(l.dim, l.denom, rows)
+    return from_rational_rows(l.dim, l.denom, rows)
 
 
 def preimage(g: IntMatrix, l: RationalLattice) -> RationalLattice:
@@ -121,7 +111,7 @@ def preimage(g: IntMatrix, l: RationalLattice) -> RationalLattice:
     if g.dim != l.dim:
         raise DimensionMismatch("preimage dimension mismatch")
     rows = (l.basis @ adj.transpose()).rows
-    return _canonical(l.dim, l.denom * abs(dg), rows)
+    return from_rational_rows(l.dim, l.denom * abs(dg), rows)
 
 
 def _diagonal_product(basis: IntMatrix) -> int:
@@ -205,7 +195,7 @@ def dual_lattice(m: IntegerSublattice) -> RationalLattice:
     dual_annihilator: dual_lattice(dual_annihilator(l)) == l.
     """
     n = sublattice_index(m)
-    return _canonical(m.dim, n, _scaled_inverse_columns(m.basis, n))
+    return from_rational_rows(m.dim, n, _scaled_inverse_columns(m.basis, n))
 
 
 def sublattice_from_rows(dim: int, rows: Sequence[Sequence[int]]) -> IntegerSublattice:

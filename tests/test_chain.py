@@ -185,8 +185,10 @@ def test_compute_chain_hnf_count(monkeypatch):
         # annihilator at level 0, and the kernel basis of each orientation
         # on first use
         assert sum(calls.values()) <= 4 * n + 3
-        # each level fold hands hnf_rows one row, not d
-        assert folded == [1] * (2 * n)
+        # per orientation, level 1 is step_pos's fold of the d rows of
+        # Z^d's image, and each later level folds the one generator image;
+        # at depth 1 that is one fold per orientation
+        assert folded == ([2] + [1] * (n - 1)) * 2
     assert chain._kernel_basis.cache_info().misses == 2
     rng = seeded(61)
     for _ in range(40):
@@ -195,34 +197,32 @@ def test_compute_chain_hnf_count(monkeypatch):
         g = rand_nonsingular(rng, d, -6, 6)
         for a, b in ((f, g), (g, f)):
             folded.clear()
-            _carried_levels(a, b, 6)
+            chain._levels(a, b, 6)
             n = abs(det(b))
             h = chain._kernel_basis(a, b)
             r = sum(h.rows[i][i] != n for i in range(d))
-            assert len(folded) == 6 and max(folded) <= r
+            assert len(folded) == 6 and folded[0] == d
+            assert max(folded[1:]) <= r
 
 
 def test_levels_check_the_generator_images(monkeypatch):
-    # a fold that drops the generator (1/3, 0) of F = diag(2, 1),
-    # G = diag(3, 1) leaves its image (2/9, 0) off the fold denominator 3
-    # of the next level
+    # a fold that drops the image (2/9, 0) of the generator (1/3, 0) of
+    # F = diag(2, 1), G = diag(3, 1) keeps level 2 at level 1; the next
+    # image (4/27, 0) is then off the fold denominator 9 of level 3
+    orig = chain.from_rational_rows
     monkeypatch.setattr(chain, "from_rational_rows",
-                        lambda dim, denom, rows, start=None: standard(dim))
+                        lambda dim, denom, rows, start=None: orig(dim, denom, [], start))
+    f, g = IntMatrix.diagonal([2, 1]), IntMatrix.diagonal([3, 1])
+    third = from_rational_rows(2, 3, [[1, 0]])
+    # level 1 keeps step_pos's start, and no image is advanced past the
+    # last level
+    assert chain._levels(f, g, 2) == [third, third]
     with pytest.raises(ConsistencyError):
-        compute_chain(IntMatrix.diagonal([2, 1]), IntMatrix.diagonal([3, 1]), 2)
-
-
-def _carried_levels(f, g, depth):
-    """Levels 0..depth as compute_chain builds them: step_pos from a Z^d
-    that carries the chain's generators."""
-    levels = [chain._origin(f, g)]
-    for _ in range(depth):
-        levels.append(step_pos(f, g, levels[-1]))
-    return levels
+        compute_chain(f, g, 3)
 
 
 def _plain_levels(f, g, depth):
-    """Levels 0..depth by step_pos from a plain Z^d, the d-row fold."""
+    """Levels 0..depth by step_pos from Z^d, the d-row fold."""
     levels = [standard(f.dim)]
     for _ in range(depth):
         levels.append(step_pos(f, g, levels[-1]))
@@ -247,24 +247,10 @@ def test_chain_levels_match_iterated_step_pos():
         g = rand_nonsingular(rng, d, -6, 6)
         depth = rng.randint(1, 14)
         for a, b in ((f, g), (g, f)):
-            carried = _carried_levels(a, b, depth)
-            assert carried == _plain_levels(a, b, depth), (a, b, depth)
+            levels = chain._levels(a, b, depth)
+            assert levels == _plain_levels(a, b, depth)[1:], (a, b, depth)
     tr = compute_chain(f, g, depth)
-    assert (tr.pos, tr.neg) == (_carried_levels(f, g, depth),
-                                _carried_levels(g, f, depth))
-
-
-def test_step_pos_takes_the_d_row_fold_off_a_carried_chain():
-    # a forward level carries rows for (f, g) only; the backward step
-    # from it, and any plain lattice, take the d-row fold
-    f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
-    level = _carried_levels(f, g, 3)[-1]
-    assert level.ahead[0][:2] == (f, g)
-    plain = lattice.RationalLattice(*level)
-    assert step_pos(g, f, level) == step_pos(g, f, plain)
-    assert step_pos(g, f, level) == preimage(f, pushforward(g, plain))
-    assert not hasattr(step_pos(g, f, level), "ahead")
-    assert step_pos(f, g, level) == step_pos(f, g, plain)
+    assert (tr.pos, tr.neg) == (_plain_levels(f, g, depth), _plain_levels(g, f, depth))
 
 
 CHAIN_HAND_CASES = [

@@ -221,6 +221,26 @@ def test_join_equals_the_fold_of_both_bases():
         assert join(a, b) == from_rational_rows(d, denom, rows) == join(b, a)
 
 
+def test_lattice_is_z_d_plus_its_rows_below_the_denominator():
+    # a canonical row with pivot D is D e_i plus a combination of later
+    # rows, so the other rows over D generate L together with Z^d; chain
+    # levels take their generators this way
+    rng = seeded(41)
+    cases = [standard(d) for d in range(1, 5)]
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        denom = rng.choice([4, 8, 9, 12, 18, 25, 27, rng.randint(1, 30)])
+        rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(rng.randint(1, d))]
+        cases.append(from_rational_rows(d, denom, rows))
+        cases.append(rand_lattice(rng, d))
+    square_factors = set()
+    for l in cases:
+        gens = [row for i, row in enumerate(l.basis.rows) if row[i] < l.denom]
+        assert from_rational_rows(l.dim, l.denom, gens) == l
+        square_factors.update(p for p in (2, 3, 5) if l.denom % (p * p) == 0)
+    assert square_factors == {2, 3, 5}
+
+
 def test_sublattice_contains_rejects_non_integral_entries():
     m = sublattice_from_rows(2, [[2, 0], [0, 2]])
     assert sublattice_contains(m, [2, 0])
