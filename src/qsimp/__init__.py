@@ -43,7 +43,6 @@ from .lattice import (
     contains,
     dual_annihilator,
     dual_lattice,
-    from_kernel,
     from_rational_rows,
     index,
     join,
@@ -63,8 +62,6 @@ from .simplicity import (
     decide,
     is_dilation,
     normalize,
-    reduce_left,
-    reduce_right,
     triangular_criterion,
 )
 

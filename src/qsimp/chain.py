@@ -10,7 +10,7 @@ limit by algebra, with no depth or search budget.
 One level is a single lattice canonicalisation: G^{-1}(F L + Z^d) equals
 G^{-1} F L + G^{-1} Z^d, so with L = span(B)/D it is spanned, over the
 denominator D |det G|, by the rows of B F^T adj(G)^T and of D adj(G)^T.
-That d-row fold is `step_pos`, which maps any lattice. `compute_chain`
+That 2d-row fold is `step_pos`, which maps any lattice. `compute_chain`
 uses it for level 1 only, K = G^{-1} Z^d. With M = G^{-1} F the levels
 are L_1 = K and L_{k+1} = K + M L_k, and M^k Z^d lies in M^{k-1} K,
 inside L_k; so L_{k+1} = L_k + sum_i Z M^k w_i for any w_i that generate
@@ -20,8 +20,8 @@ with pivot D is D e_i plus a combination of later rows, so any level L
 is Z^d + sum Z row / D over the other rows. `_levels` carries the
 generators' images as integer numerators over the next fold denominator
 D |det G|, so each later level folds only r rows into the known
-triangular basis |det G| B. The matrices that depend only on the pair
-are computed once per pair.
+triangular basis |det G| B. The pair's matrices are plain values that
+each public entry point computes and passes down; nothing is cached.
 
 The density decision:
 
@@ -39,14 +39,13 @@ The density decision:
 
 from __future__ import annotations
 
-import functools
 import math
 from operator import mul
 from typing import NamedTuple, Optional
 
 from . import poly
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
-from .intmat import IntMatrix, charpoly, det_adjugate, hnf_rows
+from .intmat import IntMatrix, charpoly, det_adjugate
 from .lattice import (
     IntegerSublattice,
     RationalLattice,
@@ -93,13 +92,10 @@ class _Side(NamedTuple):
     step: IntMatrix
 
 
-@functools.lru_cache(maxsize=8)
 def _sides(f: IntMatrix, g: IntMatrix) -> tuple[_Side, _Side]:
     """Check the pair and return the forward and the backward side.
 
-    Each matrix's det and adjugate come from one Faddeev-LeVerrier pass;
-    the cache keeps a few pairs, so a chain's calls in both orientations
-    hit it.
+    Each matrix's det and adjugate come from one Faddeev-LeVerrier pass.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("F and G must have equal dimensions")
@@ -114,49 +110,34 @@ def _sides(f: IntMatrix, g: IntMatrix) -> tuple[_Side, _Side]:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _kernel_basis(f: IntMatrix, g: IntMatrix) -> IntMatrix:
-    """Row HNF of adj(G)^T modulo |det G|, whose rows span |det G| G^{-1}
-    Z^d, for the step_pos(f, g, .) orientation.
-
-    `step_pos` folds a lattice's rows into it, scaled by the lattice's
-    denominator. Kept apart from _sides: only chain levels need it, and a
-    decide that reaches R5 builds none.
-    """
-    side = _sides(f, g)[0]
-    return hnf_rows(side.adj_t.rows, f.dim, abs(side.c))
-
-
 def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
     """One forward level: G-preimage of the F-image, in one canonicalisation.
 
     step_pos(g, f, l) is the backward level, the F-preimage of the G-image.
-    It folds the d rows of l's image into the scaled kernel basis.
+    It folds the rows of B F^T adj(G)^T and D adj(G)^T, with l = span(B)/D.
     """
     if l.dim != f.dim:
         raise DimensionMismatch("lattice and matrices differ in dimension")
     side = _sides(f, g)[0]
-    rows = (l.basis @ side.step).rows
-    start = [[l.denom * x for x in row] for row in _kernel_basis(f, g).rows]
-    return from_rational_rows(l.dim, l.denom * abs(side.c), rows, start)
+    rows = [*(l.basis @ side.step).rows,
+            *([l.denom * x for x in row] for row in side.adj_t.rows)]
+    return from_rational_rows(l.dim, l.denom * abs(side.c), rows)
 
 
-def _levels(f: IntMatrix, g: IntMatrix, depth: int) -> list[RationalLattice]:
-    """Levels 1..depth of the step_pos(f, g, .) chain from Z^d.
+def _levels(side: _Side, level: RationalLattice, depth: int) -> list[RationalLattice]:
+    """Levels 1..depth of a chain from its level 1 and its side.
 
-    Level 1 is step_pos of Z^d; each later level folds only the images of
-    the generators of level 1 over Z^d, by the recurrence of the module
-    docstring. The images u over den are kept modulo den: that moves an
-    image by a vector of Z^d, and each later image by one of M^j Z^d,
-    inside the level it is folded into. An image u / den lies in the
-    level, whose denominator D divides den (the canonical form only
-    cancels a common factor), so its M-image u step / (den det G) is, up
-    to a sign that leaves the span alone, the integer numerator
-    (u step) / (den / D) over D |det G|; the division is checked.
+    Each later level folds only the images of the generators of level 1
+    over Z^d, by the recurrence of the module docstring. The images u over
+    den are kept modulo den: that moves an image by a vector of Z^d, and
+    each later image by one of M^j Z^d, inside the level it is folded
+    into. An image u / den lies in the level, whose denominator D divides
+    den (the canonical form only cancels a common factor), so its M-image
+    u step / (den det G) is, up to a sign that leaves the span alone, the
+    integer numerator (u step) / (den / D) over D |det G|; the division is
+    checked.
     """
-    level = step_pos(f, g, standard(f.dim))
     levels = [level]
-    side = _sides(f, g)[0]
     n, cols = abs(side.c), list(zip(*side.step.rows))
     den = level.denom
     rows = [row for i, row in enumerate(level.basis.rows) if row[i] != den]
@@ -171,7 +152,7 @@ def _levels(f: IntMatrix, g: IntMatrix, depth: int) -> list[RationalLattice]:
             images.append([x // div % den for x in image])
         rows = images
         start = [[n * x for x in row] for row in level.basis.rows]
-        level = from_rational_rows(f.dim, den, rows, start)
+        level = from_rational_rows(level.dim, den, rows, start)
         levels.append(level)
     return levels
 
@@ -189,11 +170,12 @@ def annihilator_step_pos(f: IntMatrix, g: IntMatrix, m: IntegerSublattice) -> In
 
 def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
     """Fill every level 0..depth; no early exit."""
-    _sides(f, g)  # raises on a mismatched or singular pair
+    sides = _sides(f, g)  # raises on a mismatched or singular pair
     if depth < 1:
         raise ValueError("depth must be at least 1")
     z = standard(f.dim)
-    pos, neg = [z, *_levels(f, g, depth)], [z, *_levels(g, f, depth)]
+    pos = [z, *_levels(sides[0], step_pos(f, g, z), depth)]
+    neg = [z, *_levels(sides[1], step_pos(g, f, z), depth)]
     joins, annihilators, indices = [z], [dual_annihilator(z)], [1]
     for fwd, bwd in zip(pos[1:], neg[1:]):
         lam = join(fwd, bwd)

@@ -85,6 +85,12 @@ def _parse_epsilon(raw) -> Fraction:
 
 def parse_job(text: str, default_format: str = "json") -> JobSpec:
     """Validate one job document; messages name the offending field."""
+    if not text.isascii():
+        try:
+            text.encode()
+        except UnicodeEncodeError as exc:
+            # main decodes a byte that is not UTF-8 to a lone surrogate
+            raise ParseError(f"job is not valid UTF-8 at character {exc.start}") from None
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -349,10 +355,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     opts = parser.parse_args(argv)
 
     if opts.input == "-":
-        lines = [ln for ln in sys.stdin.read().splitlines() if ln.strip()]
+        data = sys.stdin.buffer.read()
     else:
-        with open(opts.input, encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        with open(opts.input, "rb") as fh:
+            data = fh.read()
+    text = data.decode("utf-8", "surrogateescape")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
 
     tagged = [(ln, opts.format) for ln in lines]
     results = _run_batch(tagged, _workers(opts.jobs, len(tagged)))

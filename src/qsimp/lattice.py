@@ -71,15 +71,6 @@ def from_rational_rows(
     return RationalLattice(dim, denom, h)
 
 
-def from_kernel(g: IntMatrix) -> RationalLattice:
-    """G^{-1} Z^d, whose image in the torus is the kernel of the G-endomorphism."""
-    dg, adj = det_adjugate(g)
-    if dg == 0:
-        raise SingularMatrix("kernel lattice needs det != 0")
-    rows = adj.transpose().rows
-    return from_rational_rows(g.dim, abs(dg), rows)
-
-
 def join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
     """Smallest lattice containing both operands."""
     if l1.dim != l2.dim:
@@ -128,22 +119,18 @@ def index(l: RationalLattice) -> int:
     return num // d
 
 
-def contains(l: RationalLattice, x: Sequence) -> bool:
-    """Membership of a rational vector, exact."""
-    if len(x) != l.dim:
+def _member(basis: IntMatrix, scale: int, x: Sequence) -> bool:
+    """Whether scale * x, for a rational vector x, lies in the row span of
+    an upper-triangular HNF basis, by exact back-substitution; a
+    non-integral scale * x never does."""
+    if len(x) != basis.dim:
         raise DimensionMismatch("vector length does not match lattice dimension")
     v = []
     for xi in x:
-        s = Fraction(xi) * l.denom
+        s = Fraction(xi) * scale
         if s.denominator != 1:
             return False
         v.append(s.numerator)
-    return _member_rows(l.basis, v)
-
-
-def _member_rows(basis: IntMatrix, v: list[int]) -> bool:
-    # back-substitution against an upper-triangular HNF row basis
-    v = list(v)
     d = basis.dim
     for i in range(d):
         piv = basis.rows[i][i]
@@ -154,6 +141,11 @@ def _member_rows(basis: IntMatrix, v: list[int]) -> bool:
             for j in range(i, d):
                 v[j] -= q * basis.rows[i][j]
     return True
+
+
+def contains(l: RationalLattice, x: Sequence) -> bool:
+    """Membership of a rational vector, exact."""
+    return _member(l.basis, l.denom, x)
 
 
 def _scaled_inverse_columns(b: IntMatrix, s: int) -> list[list[int]]:
@@ -215,12 +207,7 @@ def sublattice_index(m: IntegerSublattice) -> int:
 def sublattice_contains(m: IntegerSublattice, v: Sequence) -> bool:
     """Membership of a rational vector, exact: one with a non-integral
     entry never lies in M."""
-    if len(v) != m.dim:
-        raise DimensionMismatch("vector length does not match lattice dimension")
-    q = [Fraction(x) for x in v]
-    if any(x.denominator != 1 for x in q):
-        return False
-    return _member_rows(m.basis, [x.numerator for x in q])
+    return _member(m.basis, 1, v)
 
 
 def sublattice_transform(m: IntegerSublattice, t: IntMatrix) -> IntegerSublattice:

@@ -14,9 +14,10 @@ path past the closed forms.
 
 R2, `normalize`, is not a step of the cascade: it moves (F, G) to the
 verdict-equivalent pair (|det F| * I, D V U) through the adjugate and a
-Smith decomposition of adj(F) * G, and decides nothing by itself. All
-reductions multiply on one side by a nonsingular matrix and preserve the
-verdict, which the test suite exercises as the module's central property.
+Smith decomposition of adj(F) * G, and decides nothing by itself. Its
+moves are reductions: (H F, H G) and (F H, G H) for a nonsingular H have
+the verdict of (F, G), which the test suite exercises on the matrix
+products as the module's central property.
 """
 
 from __future__ import annotations
@@ -112,20 +113,6 @@ def triangular_criterion(n: int, g: IntMatrix) -> bool:
     if not all(diagonal):
         raise SingularMatrix("criterion needs det(G) != 0")
     return n not in diagonal
-
-
-def reduce_right(f: IntMatrix, g: IntMatrix, h: IntMatrix):
-    """(F H, G H): right composition with a nonsingular map, verdict-preserving."""
-    if det(h) == 0:
-        raise SingularMatrix("reduction needs det(H) != 0")
-    return f @ h, g @ h
-
-
-def reduce_left(f: IntMatrix, g: IntMatrix, h: IntMatrix):
-    """(H F, H G): left composition with a nonsingular map, verdict-preserving."""
-    if det(h) == 0:
-        raise SingularMatrix("reduction needs det(H) != 0")
-    return h @ f, h @ g
 
 
 def normalize(f: IntMatrix, g: IntMatrix):

@@ -21,7 +21,6 @@ from qsimp.intmat import IntMatrix, det
 from qsimp.lattice import (
     dual_annihilator,
     dual_lattice,
-    from_kernel,
     from_rational_rows,
     index,
     join,
@@ -216,9 +215,9 @@ def test_ac7_lattice_engine_identities():
 
     for _ in range(500):
         d = rng.randint(1, 3)
-        l = from_kernel(rand_nonsingular(rng, d, -4, 4))
+        l = preimage(rand_nonsingular(rng, d, -4, 4), standard(d))
         if rng.random() < 0.5:
-            l = join(l, from_kernel(rand_nonsingular(rng, d, -4, 4)))
+            l = join(l, preimage(rand_nonsingular(rng, d, -4, 4), standard(d)))
         if rng.random() < 0.3:
             l = preimage(rand_nonsingular(rng, d, -2, 2), l)
         ann = dual_annihilator(l)

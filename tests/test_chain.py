@@ -96,9 +96,7 @@ def test_chain_monotone_and_divisible():
         for a, b in zip(tr.indices, tr.indices[1:]):
             assert b % a == 0
         # forward level one is the kernel lattice of g
-        from qsimp.lattice import from_kernel
-
-        assert tr.pos[1] == from_kernel(g)
+        assert tr.pos[1] == preimage(g, standard(d))
 
 
 def test_annihilator_step_examples():
@@ -155,13 +153,29 @@ def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
 
     monkeypatch.setattr(intmat, "_faddeev_leverrier", counted)
     dets = count_calls(monkeypatch, (intmat, chain, lattice), "det")
-    chain._sides.cache_clear()
     f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
     decide_density(f, g)
     # one Faddeev-LeVerrier pass gives each matrix's det and adjugate, and
     # no Bareiss det runs
     assert passes[f] == 1 and passes[g] == 1
     assert not dets
+
+
+def test_compute_chain_adjugate_passes_do_not_grow_with_depth(monkeypatch):
+    passes = Counter()
+
+    def counted(m, orig=intmat._faddeev_leverrier):
+        passes[m] += 1
+        return orig(m)
+
+    monkeypatch.setattr(intmat, "_faddeev_leverrier", counted)
+    f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
+    counts = []
+    for depth in (1, 24):
+        passes.clear()
+        compute_chain(f, g, depth)
+        counts.append(sum(passes.values()))
+    assert counts[0] == counts[1] > 0
 
 
 def test_compute_chain_hnf_count(monkeypatch):
@@ -173,23 +187,20 @@ def test_compute_chain_hnf_count(monkeypatch):
         return orig(dim, denom, int_rows, start)
 
     monkeypatch.setattr(chain, "from_rational_rows", counted)
-    chain._sides.cache_clear()
-    chain._kernel_basis.cache_clear()
     # det F = 5 and det G = 3 are prime, so each chain has one generator
     f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
     for n in (1, 5):
         calls.clear()
         folded.clear()
         compute_chain(f, g, n)
-        # two level folds, a join and an annihilator per level, one
-        # annihilator at level 0, and the kernel basis of each orientation
-        # on first use
-        assert sum(calls.values()) <= 4 * n + 3
+        # two level folds, a join and an annihilator per level, and one
+        # annihilator at level 0
+        assert sum(calls.values()) == 4 * n + 1
         # per orientation, level 1 is step_pos's fold of the d rows of
-        # Z^d's image, and each later level folds the one generator image;
-        # at depth 1 that is one fold per orientation
-        assert folded == ([2] + [1] * (n - 1)) * 2
-    assert chain._kernel_basis.cache_info().misses == 2
+        # Z^d's image and the d rows of adj(G)^T, and each later level
+        # folds the one generator image; at depth 1 that is one fold per
+        # orientation
+        assert folded == ([4] + [1] * (n - 1)) * 2
     rng = seeded(61)
     for _ in range(40):
         d = rng.randint(1, 4)
@@ -197,11 +208,10 @@ def test_compute_chain_hnf_count(monkeypatch):
         g = rand_nonsingular(rng, d, -6, 6)
         for a, b in ((f, g), (g, f)):
             folded.clear()
-            chain._levels(a, b, 6)
-            n = abs(det(b))
-            h = chain._kernel_basis(a, b)
-            r = sum(h.rows[i][i] != n for i in range(d))
-            assert len(folded) == 6 and folded[0] == d
+            first = step_pos(a, b, standard(d))
+            chain._levels(chain._sides(a, b)[0], first, 6)
+            r = sum(first.basis.rows[i][i] != first.denom for i in range(d))
+            assert len(folded) == 6 and folded[0] == 2 * d
             assert max(folded[1:]) <= r
 
 
@@ -209,16 +219,43 @@ def test_levels_check_the_generator_images(monkeypatch):
     # a fold that drops the image (2/9, 0) of the generator (1/3, 0) of
     # F = diag(2, 1), G = diag(3, 1) keeps level 2 at level 1; the next
     # image (4/27, 0) is then off the fold denominator 9 of level 3
+    f, g = IntMatrix.diagonal([2, 1]), IntMatrix.diagonal([3, 1])
+    third = from_rational_rows(2, 3, [[1, 0]])
+    assert step_pos(f, g, standard(2)) == third
+    side = chain._sides(f, g)[0]
     orig = chain.from_rational_rows
     monkeypatch.setattr(chain, "from_rational_rows",
                         lambda dim, denom, rows, start=None: orig(dim, denom, [], start))
-    f, g = IntMatrix.diagonal([2, 1]), IntMatrix.diagonal([3, 1])
-    third = from_rational_rows(2, 3, [[1, 0]])
-    # level 1 keeps step_pos's start, and no image is advanced past the
-    # last level
-    assert chain._levels(f, g, 2) == [third, third]
+    # no image is advanced past the last level
+    assert chain._levels(side, third, 2) == [third, third]
     with pytest.raises(ConsistencyError):
-        compute_chain(f, g, 3)
+        chain._levels(side, third, 3)
+
+
+def test_levels_reduce_images_modulo_the_fold_denominator(monkeypatch):
+    folds = []
+
+    def counted(dim, denom, int_rows, start=None, orig=chain.from_rational_rows):
+        folds.append((denom, int_rows))
+        return orig(dim, denom, int_rows, start)
+
+    monkeypatch.setattr(chain, "from_rational_rows", counted)
+    rng = seeded(89)
+    entries = 0
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        f = rand_nonsingular(rng, d, -6, 6)
+        g = rand_nonsingular(rng, d, -6, 6)
+        for a, b in ((f, g), (g, f)):
+            first = step_pos(a, b, standard(d))
+            folds.clear()
+            chain._levels(chain._sides(a, b)[0], first, 8)
+            # every row folded after level 1 is an image kept in [0, den)
+            for den, rows in folds:
+                for row in rows:
+                    assert all(0 <= x < den for x in row), (a, b, den, row)
+                    entries += len(row)
+    assert entries
 
 
 def _plain_levels(f, g, depth):
@@ -247,7 +284,8 @@ def test_chain_levels_match_iterated_step_pos():
         g = rand_nonsingular(rng, d, -6, 6)
         depth = rng.randint(1, 14)
         for a, b in ((f, g), (g, f)):
-            levels = chain._levels(a, b, depth)
+            side, first = chain._sides(a, b)[0], step_pos(a, b, standard(d))
+            levels = chain._levels(side, first, depth)
             assert levels == _plain_levels(a, b, depth)[1:], (a, b, depth)
     tr = compute_chain(f, g, depth)
     assert (tr.pos, tr.neg) == (_plain_levels(f, g, depth), _plain_levels(g, f, depth))

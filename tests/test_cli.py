@@ -300,6 +300,44 @@ def test_main_batch_and_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
 
 
+# a line with a byte that is not UTF-8 inside a JSON string, which the JSON
+# parser alone would accept, and a line of such bytes alone
+BAD_BYTES = (
+    job_line(command="decide", d=1, F=[[2]], G=[[3]]).encode() + b"\n"
+    + b'{"command":"decide","d":1,"F":[[2]],"G":[[3]],"note":"\xff"}\n'
+    + b"\xfe\xff\n"
+    + job_line(command="decide", d=1, F=[[1]], G=[[1]]).encode() + b"\n"
+)
+
+
+def _check_bad_bytes_output(out: str) -> None:
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert [l["status"] for l in lines] == ["Simple", "Error", "Error", "NotSimple"]
+    assert [l.get("error") for l in lines[1:3]] == ["ParseError"] * 2
+    assert "not valid UTF-8" in lines[1]["message"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_main_input_file_with_bytes_not_utf8(tmp_path, capsys, jobs):
+    path = tmp_path / "jobs.jsonl"
+    path.write_bytes(BAD_BYTES)
+    code = main(["--input", str(path), "--jobs", jobs])
+    assert code == 1
+    _check_bad_bytes_output(capsys.readouterr().out)
+
+
+def test_stdin_with_bytes_not_utf8():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsimp.cli"],
+        input=BAD_BYTES,
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONUTF8": "0", "LC_ALL": "C.UTF-8"},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    _check_bad_bytes_output(proc.stdout.decode())
+
+
 def test_main_parallel_preserves_order(tmp_path, capsys):
     rows = [job_line(command="decide", d=1, F=[[k]], G=[[k]]) for k in (2, 3, 4)]
     path = tmp_path / "jobs.jsonl"

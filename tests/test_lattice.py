@@ -13,7 +13,6 @@ from qsimp.lattice import (
     contains,
     dual_annihilator,
     dual_lattice,
-    from_kernel,
     from_rational_rows,
     index,
     join,
@@ -34,21 +33,23 @@ THIRD = from_rational_rows(1, 3, [[1]])  # (1/3)Z
 
 def rand_lattice(rng, d, spread=4):
     """Random lattice from kernels and joins, denominators kept modest."""
-    l = from_kernel(rand_nonsingular(rng, d, -spread, spread))
+    z = standard(d)
+    l = preimage(rand_nonsingular(rng, d, -spread, spread), z)
     if rng.random() < 0.5:
-        l = join(l, from_kernel(rand_nonsingular(rng, d, -spread, spread)))
+        l = join(l, preimage(rand_nonsingular(rng, d, -spread, spread), z))
     if rng.random() < 0.5:
         l = preimage(rand_nonsingular(rng, d, -2, 2), l)
     return l
 
 
-def test_from_kernel_examples():
-    k3 = from_kernel(IntMatrix([[3]]))
+def test_kernel_lattice_examples():
+    # G^{-1} Z^d, whose image in the torus is the kernel of G
+    k3 = preimage(IntMatrix([[3]]), Z1)
     assert k3 == THIRD
     assert index(k3) == 3
-    assert from_kernel(IntMatrix.identity(2)) == Z2
+    assert preimage(IntMatrix.identity(2), Z2) == Z2
     g = IntMatrix([[2, 1], [0, 2]])
-    k = from_kernel(g)
+    k = preimage(g, Z2)
     # brute-force oracle: points x of the (1/4)-grid with G x integral
     pts = lattice_points_oracle(
         4, 2, lambda x: all(Fraction(s).denominator == 1 for s in g.apply(x))
@@ -57,11 +58,8 @@ def test_from_kernel_examples():
     assert index(k) == 4
     for p in pts:
         assert contains(k, p)
-
-
-def test_from_kernel_singular():
     with pytest.raises(SingularMatrix):
-        from_kernel(IntMatrix([[0]]))
+        preimage(IntMatrix([[0]]), Z1)
 
 
 def test_join_examples():
@@ -93,7 +91,7 @@ def test_preimage_examples():
     assert preimage(IntMatrix([[2]]), THIRD) == from_rational_rows(1, 6, [[1]])
 
 
-def test_preimage_and_from_kernel_compute_det_and_adjugate_once(monkeypatch):
+def test_preimage_computes_det_and_adjugate_once(monkeypatch):
     passes = Counter()
 
     def counted(m, orig=intmat._faddeev_leverrier):
@@ -103,9 +101,9 @@ def test_preimage_and_from_kernel_compute_det_and_adjugate_once(monkeypatch):
     monkeypatch.setattr(intmat, "_faddeev_leverrier", counted)
     dets = count_calls(monkeypatch, (intmat, lattice), "det")
     g = IntMatrix([[1, 2], [3, -4]])
-    k = from_kernel(g)
+    k = preimage(g, Z2)
     assert passes[g] == 1
-    assert preimage(g, Z2) == k
+    assert preimage(g, k) == preimage(g @ g, Z2)
     # one Faddeev-LeVerrier pass gives the det and the adjugate of each
     # call, and no Bareiss det runs
     assert passes[g] == 2 and not dets
@@ -124,7 +122,7 @@ def test_dual_annihilator_examples():
 
 def test_index_examples():
     assert index(Z2) == 1
-    assert index(from_kernel(IntMatrix.diagonal([2, 3]))) == 6
+    assert index(preimage(IntMatrix.diagonal([2, 3]), Z2)) == 6
     assert index(join(HALF, THIRD)) == 6
 
 
@@ -194,7 +192,7 @@ def test_pushforward_preimage_monotone_and_galois():
         # round trip contains l; equality exactly when ker(g) already inside l
         rt = preimage(g, pushforward(g, l))
         assert join(rt, l) == rt
-        expect_equal = join(l, from_kernel(g)) == l
+        expect_equal = join(l, preimage(g, standard(d))) == l
         assert (rt == l) == expect_equal
         if abs(det(g)) == 1:
             assert rt == l

@@ -16,8 +16,6 @@ from qsimp.simplicity import (
     decide,
     is_dilation,
     normalize,
-    reduce_left,
-    reduce_right,
     triangular_criterion,
 )
 
@@ -92,14 +90,12 @@ def test_triangular_criterion():
 
 
 def test_reduce_examples():
+    # (F H, G H) and (H F, H G) for a nonsingular H keep the verdict
     f, g = m1(2), m1(3)
-    assert reduce_right(f, g, IntMatrix.identity(1)) == (f, g)
-    assert reduce_right(m1(2), m1(3), m1(5)) == (m1(10), m1(15))
-    assert decide(m1(10), m1(15)).status == decide(m1(2), m1(3)).status
-    assert reduce_left(m1(2), m1(3), m1(7)) == (m1(14), m1(21))
-    assert decide(m1(14), m1(21)).status == decide(m1(2), m1(3)).status
-    with pytest.raises(SingularMatrix):
-        reduce_right(f, g, m1(0))
+    for h in (IntMatrix.identity(1), m1(5), m1(7)):
+        for fa, ga in ((f @ h, g @ h), (h @ f, h @ g)):
+            assert decide(fa, ga).status == decide(f, g).status
+    assert (f @ m1(5), g @ m1(5)) == (m1(10), m1(15))
 
 
 def test_reduce_by_adjugate_matches_normal_form():
@@ -109,11 +105,9 @@ def test_reduce_by_adjugate_matches_normal_form():
     for _ in range(20):
         d = rng.randint(1, 3)
         f = rand_nonsingular(rng, d, -3, 3)
-        g = rand_nonsingular(rng, d, -3, 3)
-        fr, gr = reduce_right(f, g, adjugate(f))
-        assert fr == IntMatrix.scalar(d, det(f))
-        fl, gl = reduce_left(f, g, adjugate(f))
-        assert fl == IntMatrix.scalar(d, det(f))
+        # the right and the left reduction by adj(F) both make F scalar
+        assert f @ adjugate(f) == IntMatrix.scalar(d, det(f))
+        assert adjugate(f) @ f == IntMatrix.scalar(d, det(f))
 
 
 def test_normalize_examples():
@@ -149,7 +143,6 @@ def test_r5_decide_runs_one_bareiss_det_and_one_adjugate_pass_per_matrix(monkeyp
                     return orig(m)
 
                 monkeypatch.setattr(module, name, counted)
-    chain._sides.cache_clear()
     f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
     v = decide(f, g)
     assert v.rules_fired[-1][0] == "R5-density"
@@ -172,13 +165,10 @@ def test_r5_decide_calls_no_snf_inverse_or_normalize(monkeypatch):
 
 def test_r5_decide_makes_no_hnf(monkeypatch):
     calls = count_calls(monkeypatch, (simplicity, chain, lattice), "hnf_rows")
-    chain._sides.cache_clear()
-    chain._kernel_basis.cache_clear()
     v = decide(IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]]))
     assert v.rules_fired[-1][0] == "R5-density"
-    # the chain's step bases are for chain levels, which R5 never builds
+    # HNF folds build chain levels, which R5 never builds
     assert not calls
-    assert chain._kernel_basis.cache_info().currsize == 0
 
 
 def test_triangular_normal_forms_answer_simple_through_r5():
@@ -293,7 +283,7 @@ def test_reduction_invariance_smoke():
         g = rand_nonsingular(rng, d, -3, 3)
         h = rand_nonsingular(rng, d, -3, 3)
         base = decide(f, g).status
-        for fa, ga in (reduce_right(f, g, h), reduce_left(f, g, h)):
+        for fa, ga in ((f @ h, g @ h), (h @ f, h @ g)):
             other = decide(fa, ga).status
             if UNKNOWN not in (base, other):
                 assert base == other
