@@ -42,8 +42,9 @@ def rand_lattice(rng, d, spread=4):
     return l
 
 
-def test_kernel_lattice_examples():
-    # G^{-1} Z^d, whose image in the torus is the kernel of G
+def test_from_kernel_examples():
+    # the lattice from the kernel of G: G^{-1} Z^d, whose image in the
+    # torus is ker(G)
     k3 = preimage(IntMatrix([[3]]), Z1)
     assert k3 == THIRD
     assert index(k3) == 3
@@ -58,6 +59,9 @@ def test_kernel_lattice_examples():
     assert index(k) == 4
     for p in pts:
         assert contains(k, p)
+
+
+def test_from_kernel_singular():
     with pytest.raises(SingularMatrix):
         preimage(IntMatrix([[0]]), Z1)
 
