@@ -23,6 +23,16 @@ D |det G|, so each later level folds only r rows into the known
 triangular basis |det G| B. The pair's matrices are plain values that
 each public entry point computes and passes down; nothing is cached.
 
+The annihilators A_k of the joins J_k of the forward and backward level k
+are built deepest first, by `lattice.dual_annihilators`. The joins
+ascend, so A_{k+1} lies in A_k, and A_{k+1} contains D_{k+1} Z^d for the
+denominator D_{k+1} of J_{k+1}; A_k is therefore the fold of the d rows
+of D_k B_k^{-T} into the basis of A_{k+1}, modulo D_{k+1}. Only the
+deepest annihilator is an HNF that starts from D I; the small pivots of
+each deeper annihilator turn most steps of the next fold into one
+subtraction. Each fold is checked by [Z^d : A_k] = [J_k : Z^d], which
+holds exactly when the fold gave A_k.
+
 The density decision:
 
 * a character m annihilates every forward level exactly when y = G^{-T} m
@@ -50,6 +60,7 @@ from .lattice import (
     IntegerSublattice,
     RationalLattice,
     dual_annihilator,
+    dual_annihilators,
     dual_lattice,
     from_rational_rows,
     index,
@@ -176,13 +187,9 @@ def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
     z = standard(f.dim)
     pos = [z, *_levels(sides[0], step_pos(f, g, z), depth)]
     neg = [z, *_levels(sides[1], step_pos(g, f, z), depth)]
-    joins, annihilators, indices = [z], [dual_annihilator(z)], [1]
-    for fwd, bwd in zip(pos[1:], neg[1:]):
-        lam = join(fwd, bwd)
-        joins.append(lam)
-        annihilators.append(dual_annihilator(lam))
-        indices.append(index(lam))
-    return ChainTrace(depth, pos, neg, joins, annihilators, indices)
+    joins = [z, *map(join, pos[1:], neg[1:])]
+    return ChainTrace(depth, pos, neg, joins, dual_annihilators(joins),
+                      list(map(index, joins)))
 
 
 def _evaluate(p: list[int], a: IntMatrix) -> IntMatrix:

@@ -27,6 +27,10 @@ EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 
 DEFAULT_EPSILON = Fraction(1, 1000)
+# bound on the digits of a string epsilon and on its decimal exponent, so
+# that Fraction builds it at once and its terms print under Python's
+# 4300-digit limit for integer-to-string conversion
+EPSILON_DIGITS = 1000
 
 # json.dumps(x, separators=...) builds this same encoder on every call
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -61,6 +65,21 @@ def _parse_matrix(doc: dict, key: str, d: int) -> IntMatrix:
     return IntMatrix._of(tuple(map(tuple, raw)))
 
 
+def _check_epsilon_digits(raw: str) -> None:
+    """Reject a string with more than EPSILON_DIGITS digits or a decimal
+    exponent past EPSILON_DIGITS in absolute value, before Fraction turns
+    an exponent such as 1e-9999999 into a power of ten."""
+    if sum(map(str.isdigit, raw)) > EPSILON_DIGITS:
+        raise ParseError(f"epsilon must have at most {EPSILON_DIGITS} digits")
+    exponent = raw.lower().partition("e")[2]
+    try:
+        large = abs(int(exponent)) > EPSILON_DIGITS
+    except ValueError:  # no exponent, or one that Fraction rejects too
+        return
+    if large:
+        raise ParseError(f"epsilon exponent must be at most {EPSILON_DIGITS} in absolute value")
+
+
 def _parse_epsilon(raw) -> Fraction:
     if isinstance(raw, bool):
         raise ParseError("epsilon must be a number or a 'p/q' string")
@@ -72,6 +91,7 @@ def _parse_epsilon(raw) -> Fraction:
             raise ParseError(f"epsilon must be finite, got {raw!r}")
         value = Fraction(str(raw))
     elif isinstance(raw, str):
+        _check_epsilon_digits(raw)
         try:
             value = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:

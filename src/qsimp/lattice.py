@@ -179,6 +179,34 @@ def dual_annihilator(l: RationalLattice) -> IntegerSublattice:
     return IntegerSublattice(l.dim, hnf_rows(rows, l.dim, l.denom))
 
 
+def dual_annihilators(lattices: Sequence[RationalLattice]) -> list[IntegerSublattice]:
+    """dual_annihilator of each lattice of an ascending list L_0 <= L_1 <= ...
+
+    Only the last one is computed from scratch; the others are built
+    deepest first. L_k <= L_{k+1} gives A_{k+1} <= A_k, and A_{k+1}
+    contains D_{k+1} * Z^d, so A_k is the HNF of the columns of D_k*B_k^{-1}
+    folded into the basis of A_{k+1} modulo D_{k+1}. The pivots of A_{k+1}
+    are small, so most fold steps are one subtraction rather than an
+    extended gcd of two numbers the size of D_k. The fold always contains A_k, and equals it
+    exactly when [Z^d : fold] = [L_k : Z^d]; that is checked, so a list
+    that is not ascending raises ConsistencyError.
+    """
+    if not lattices:
+        return []
+    if any(l.dim != lattices[0].dim for l in lattices):
+        raise DimensionMismatch("annihilators of lattices of different dimensions")
+    out = [dual_annihilator(lattices[-1])]
+    for l, deeper in zip(lattices[-2::-1], lattices[:0:-1]):
+        rows = _scaled_inverse_columns(l.basis, l.denom)
+        basis = hnf_rows(rows, l.dim, deeper.denom, out[-1].basis.rows)
+        if _diagonal_product(basis) != index(l):
+            raise ConsistencyError("lattices are not ascending: an annihilator "
+                                   "fold is larger than the annihilator")
+        out.append(IntegerSublattice(l.dim, basis))
+    out.reverse()
+    return out
+
+
 def dual_lattice(m: IntegerSublattice) -> RationalLattice:
     """The rational lattice of vectors pairing integrally with M.
 

@@ -179,7 +179,13 @@ def test_compute_chain_adjugate_passes_do_not_grow_with_depth(monkeypatch):
 
 
 def test_compute_chain_hnf_count(monkeypatch):
-    calls = count_calls(monkeypatch, (chain, lattice), "hnf_rows")
+    fresh = []  # per hnf_rows call, whether it starts from modulus * I
+
+    def hnf(rows, dim, modulus, start=None, orig=lattice.hnf_rows):
+        fresh.append(start is None)
+        return orig(rows, dim, modulus, start)
+
+    monkeypatch.setattr(lattice, "hnf_rows", hnf)
     folded = []
 
     def counted(dim, denom, int_rows, start=None, orig=chain.from_rational_rows):
@@ -189,13 +195,17 @@ def test_compute_chain_hnf_count(monkeypatch):
     monkeypatch.setattr(chain, "from_rational_rows", counted)
     # det F = 5 and det G = 3 are prime, so each chain has one generator
     f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
-    for n in (1, 5):
-        calls.clear()
+    for n in (1, 5, 24):
+        fresh.clear()
         folded.clear()
         compute_chain(f, g, n)
         # two level folds, a join and an annihilator per level, and one
         # annihilator at level 0
-        assert sum(calls.values()) == 4 * n + 1
+        assert len(fresh) == 4 * n + 1
+        # only the two level-1 step_pos folds and the deepest annihilator
+        # start from modulus * I; every other annihilator is folded into
+        # the next deeper one
+        assert sum(fresh) == 3
         # per orientation, level 1 is step_pos's fold of the d rows of
         # Z^d's image and the d rows of adj(G)^T, and each later level
         # folds the one generator image; at depth 1 that is one fold per
@@ -213,6 +223,18 @@ def test_compute_chain_hnf_count(monkeypatch):
             r = sum(first.basis.rows[i][i] != first.denom for i in range(d))
             assert len(folded) == 6 and folded[0] == 2 * d
             assert max(folded[1:]) <= r
+
+
+def test_annihilators_of_swapped_joins_raise():
+    # det F = 5 and det G = 3: every join has a larger index than the last
+    tr = compute_chain(IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]]), 4)
+    assert tr.indices == sorted(set(tr.indices))
+    assert lattice.dual_annihilators(tr.joins) == tr.annihilators
+    for i in range(4):
+        joins = list(tr.joins)
+        joins[i], joins[i + 1] = joins[i + 1], joins[i]
+        with pytest.raises(ConsistencyError):
+            lattice.dual_annihilators(joins)
 
 
 def test_levels_check_the_generator_images(monkeypatch):
@@ -278,17 +300,19 @@ def _reference_chain(f, g, depth):
 
 def test_chain_levels_match_iterated_step_pos():
     rng = seeded(67)
+    pairs = []
     for _ in range(400):
         d = rng.randint(1, 4)
-        f = rand_nonsingular(rng, d, -6, 6)
-        g = rand_nonsingular(rng, d, -6, 6)
+        pairs.append((rand_nonsingular(rng, d, -6, 6), rand_nonsingular(rng, d, -6, 6)))
+    # G = 2I and 3I: r = d generators of K / Z^d, in either orientation
+    for d in range(1, 5):
+        for c in (2, 3):
+            for _ in range(3):
+                f = rand_nonsingular(rng, d, -6, 6)
+                pairs += [(f, IntMatrix.scalar(d, c)), (IntMatrix.scalar(d, c), f)]
+    for f, g in pairs:
         depth = rng.randint(1, 14)
-        for a, b in ((f, g), (g, f)):
-            side, first = chain._sides(a, b)[0], step_pos(a, b, standard(d))
-            levels = chain._levels(side, first, depth)
-            assert levels == _plain_levels(a, b, depth)[1:], (a, b, depth)
-    tr = compute_chain(f, g, depth)
-    assert (tr.pos, tr.neg) == (_plain_levels(f, g, depth), _plain_levels(g, f, depth))
+        assert compute_chain(f, g, depth) == _reference_chain(f, g, depth), (f, g, depth)
 
 
 CHAIN_HAND_CASES = [

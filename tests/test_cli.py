@@ -571,6 +571,39 @@ def test_non_finite_epsilon_is_a_parse_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_hostile_epsilon_is_a_parse_error_at_once(tmp_path, capsys, jobs):
+    # Fraction would build 10^9999999 for the first, and the others give
+    # terms past the 4300-digit limit of integer-to-string conversion
+    lines = []
+    for raw in ("1e-9999999", "1e-4400", "1e9999"):
+        for command in ("decide", "oracle"):
+            lines.append(job_line(command=command, d=1, F=[[2]], G=[[3]], epsilon=raw))
+            lines.append(job_line(command=command, d=1, F=[[2]], G=[[3]], epsilon="1/7"))
+    start = time.perf_counter()
+    code, out = _main_on(tmp_path, capsys, lines, "--jobs", jobs)
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    docs = [json.loads(l) for l in out]
+    assert len(docs) == len(lines)
+    for bad, good in zip(docs[::2], docs[1::2]):
+        assert bad["error"] == "ParseError" and "epsilon" in bad["message"]
+        assert good["status"] in ("Simple", "dense_at_resolution")
+    assert [d["epsilon"] for d in docs[3::4]] == ["1/7"] * 3
+
+
+def test_epsilon_digit_bound():
+    bound = cli.EPSILON_DIGITS
+    for raw in (f"1e-{bound}", f"1E{bound}", "1" * bound, f"1/{'3' * (bound - 1)}",
+                f"0.{'0' * (bound - 2)}1", "2.5e-3"):
+        assert parse_job(job_line(command="decide", d=1, F=[[2]], G=[[3]],
+                                  epsilon=raw)).epsilon == Fraction(raw)
+    for raw in (f"1e-{bound + 1}", f"1e+{bound + 1}", "1" * (bound + 1),
+                f"1/{'3' * bound}", f"0.{'0' * (bound - 1)}1", f"1e-{'0' * bound}1"):
+        with pytest.raises(ParseError, match="epsilon"):
+            parse_job(job_line(command="decide", d=1, F=[[2]], G=[[3]], epsilon=raw))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_unparseable_json_is_a_parse_error_line(tmp_path, capsys, jobs):
     # json.loads raises a plain ValueError past the interpreter's
     # integer-digit limit and RecursionError on very deep nesting

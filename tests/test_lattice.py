@@ -12,6 +12,7 @@ from qsimp.lattice import (
     RationalLattice,
     contains,
     dual_annihilator,
+    dual_annihilators,
     dual_lattice,
     from_rational_rows,
     index,
@@ -178,6 +179,22 @@ def test_duality_identities_random():
         ann_big = dual_annihilator(bigger)
         for row in ann_big.basis.rows:
             assert sublattice_contains(ann, row)
+
+
+def test_dual_annihilators_of_ascending_lattices():
+    rng = seeded(43)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        chain = [standard(d)]
+        for _ in range(rng.randint(0, 5)):
+            chain.append(join(chain[-1], rand_lattice(rng, d)))
+        assert dual_annihilators(chain) == [dual_annihilator(l) for l in chain]
+    assert dual_annihilators([]) == []
+    # the fold of HALF's annihilator 2Z into THIRD's 3Z is Z, not 2Z
+    with pytest.raises(ConsistencyError):
+        dual_annihilators([THIRD, HALF])
+    with pytest.raises(DimensionMismatch):
+        dual_annihilators([Z1, Z2])
 
 
 def test_pushforward_preimage_monotone_and_galois():
