@@ -55,7 +55,7 @@ from typing import NamedTuple, Optional
 
 from . import poly
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
-from .intmat import IntMatrix, charpoly, det_adjugate
+from .intmat import IntMatrix, charpoly, det_adjugate, evaluate
 from .lattice import (
     IntegerSublattice,
     RationalLattice,
@@ -106,7 +106,8 @@ class _Side(NamedTuple):
 def _sides(f: IntMatrix, g: IntMatrix) -> tuple[_Side, _Side]:
     """Check the pair and return the forward and the backward side.
 
-    Each matrix's det and adjugate come from one Faddeev-LeVerrier pass.
+    Each matrix's det and adjugate come from one fraction-free Gauss-Jordan
+    pass, `det_adjugate`.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("F and G must have equal dimensions")
@@ -192,17 +193,6 @@ def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
                       list(map(index, joins)))
 
 
-def _evaluate(p: list[int], a: IntMatrix) -> IntMatrix:
-    """p(a) by Horner's rule."""
-    acc = IntMatrix.scalar(a.dim, p[0])
-    for coeff in p[1:]:
-        rows = [list(row) for row in (acc @ a).rows]
-        for i, row in enumerate(rows):
-            row[i] += coeff
-        acc = IntMatrix._of(tuple(map(tuple, rows)))
-    return acc
-
-
 def _obstruction_equations(side: _Side) -> Optional[IntMatrix]:
     """N whose kernel is the chain's obstruction space, or None if it is 0.
 
@@ -215,7 +205,7 @@ def _obstruction_equations(side: _Side) -> Optional[IntMatrix]:
     m = None
     for p, mult in poly.factor(charpoly(side.a))[1]:
         if all(x % side.c**i == 0 for i, x in enumerate(p)):
-            pa = _evaluate(p, side.a)
+            pa = evaluate(p, side.a)
             for _ in range(mult):
                 m = pa if m is None else m @ pa
     return None if m is None else m @ side.adj_t

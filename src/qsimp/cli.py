@@ -31,6 +31,12 @@ DEFAULT_EPSILON = Fraction(1, 1000)
 # that Fraction builds it at once and its terms print under Python's
 # 4300-digit limit for integer-to-string conversion
 EPSILON_DIGITS = 1000
+# bound on max_depth: a trace's output grows with the square of its depth,
+# and at 1024 one d = 3 trace takes under a second and prints about 5 MB.
+# An oracle's gap has about max_depth * log10|F G| digits, so at this depth
+# entries such as F = 998, G = 999 still pass the 4300-digit limit of
+# integer-to-string conversion, which is an Internal error line, not a stall
+MAX_DEPTH = 1024
 
 # json.dumps(x, separators=...) builds this same encoder on every call
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -135,6 +141,8 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
     max_depth = doc.get("max_depth", chain.DEFAULT_MAX_DEPTH)
     if type(max_depth) is not int or max_depth < 1:
         raise ParseError("max_depth must be a positive integer")
+    if max_depth > MAX_DEPTH:
+        raise ParseError(f"max_depth must be at most {MAX_DEPTH}")
     epsilon = _parse_epsilon(doc["epsilon"]) if "epsilon" in doc else DEFAULT_EPSILON
     output = doc.get("output", default_format)
     if output not in ("json", "text"):
@@ -385,9 +393,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     tagged = [(ln, opts.format) for ln in lines]
     results = _run_batch(tagged, _workers(opts.jobs, len(tagged)))
 
+    # one write: with PYTHONUNBUFFERED=1 every print is two write calls
+    sys.stdout.write("".join([payload + "\n" for _, payload in results]))
     worst = EXIT_DEFINITE
-    for code, payload in results:
-        print(payload)
+    for code, _ in results:
         if code == EXIT_ERROR:
             worst = EXIT_ERROR
         elif code == EXIT_UNKNOWN and worst != EXIT_ERROR:

@@ -95,7 +95,8 @@ def pushforward(f: IntMatrix, l: RationalLattice) -> RationalLattice:
 
 
 def preimage(g: IntMatrix, l: RationalLattice) -> RationalLattice:
-    """G^{-1} L, the full preimage of L under the G-endomorphism."""
+    """G^{-1} L, the full preimage of L under the G-endomorphism, from the
+    det and adjugate of one fraction-free Gauss-Jordan pass over G."""
     dg, adj = det_adjugate(g)
     if dg == 0:
         raise SingularMatrix("preimage needs det != 0")

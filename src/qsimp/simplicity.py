@@ -97,7 +97,8 @@ def is_dilation(f: IntMatrix) -> bool:
     The reversed characteristic polynomial has the reciprocal roots, so the
     question becomes Schur stability of an integer polynomial; no floating
     point enters the decision. A singular f has the root 0, which the
-    reduction rejects at once.
+    reduction rejects at once. The polynomial comes from the power sums
+    tr(f^k), which take O(sqrt(d)) matrix products (intmat.charpoly).
     """
     high_first = charpoly(f)
     # x^d * p(1/x) has exactly these numbers as low-to-high coefficients
@@ -124,7 +125,7 @@ def normalize(f: IntMatrix, g: IntMatrix):
 
     snf gives P adj(F) G Q = D, so U = P^{-1}, V = Q^{-1} and
     D V U = D (P Q)^{-1}, one unimodular inversion. det F and adj(F) come
-    from one Faddeev-LeVerrier pass. A pair out of scope raises
+    from one fraction-free Gauss-Jordan pass. A pair out of scope raises
     DimensionMismatch or SingularMatrix; a singular G leaves adj(F) G
     singular, which snf rejects.
     """

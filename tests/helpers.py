@@ -5,6 +5,7 @@ The oracles here deliberately avoid the production code paths they check.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -89,3 +90,38 @@ def count_calls(monkeypatch, modules, name):
 
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_passes(monkeypatch, name):
+    """Counter of calls to the intmat kernel `name`, keyed by the matrix
+    passed, through every qsimp module's binding of it; the bindings are
+    restored with monkeypatch."""
+    from qsimp import intmat
+
+    orig = getattr(intmat, name)
+    passes = Counter()
+
+    def counted(m):
+        passes[m] += 1
+        return orig(m)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("qsimp") and getattr(module, name, None) is orig:
+            monkeypatch.setattr(module, name, counted)
+    return passes
+
+
+def adj_oracle(rows):
+    """Adjugate by cofactors, written independently of qsimp."""
+    d = len(rows)
+    if d == 1:
+        return [[1]]
+    return [
+        [
+            (-1) ** (i + j) * det_oracle(
+                [[row[k] for k in range(d) if k != i] for r, row in enumerate(rows) if r != j]
+            )
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]

@@ -1,11 +1,10 @@
 import hashlib
 import json
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import count_calls, rand_nonsingular, rand_unimodular, seeded
+from helpers import count_calls, count_passes, rand_nonsingular, rand_unimodular, seeded
 from qsimp import chain, cli, intmat, lattice
 from qsimp.chain import (
     DENSE,
@@ -145,30 +144,20 @@ def test_fused_step_matches_pushforward_then_preimage():
 
 
 def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
-    passes = Counter()
-
-    def counted(m, orig=intmat._faddeev_leverrier):
-        passes[m] += 1
-        return orig(m)
-
-    monkeypatch.setattr(intmat, "_faddeev_leverrier", counted)
+    passes = count_passes(monkeypatch, "det_adjugate")
+    charpolys = count_passes(monkeypatch, "charpoly")
     dets = count_calls(monkeypatch, (intmat, chain, lattice), "det")
     f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
     decide_density(f, g)
-    # one Faddeev-LeVerrier pass gives each matrix's det and adjugate, and
-    # no Bareiss det runs
-    assert passes[f] == 1 and passes[g] == 1
+    # one Gauss-Jordan pass gives each matrix's det and adjugate, and no
+    # Bareiss det runs; the characteristic polynomials are the sides' only
+    assert passes == {f: 1, g: 1}
     assert not dets
+    assert charpolys and not charpolys.keys() & {f, g}
 
 
 def test_compute_chain_adjugate_passes_do_not_grow_with_depth(monkeypatch):
-    passes = Counter()
-
-    def counted(m, orig=intmat._faddeev_leverrier):
-        passes[m] += 1
-        return orig(m)
-
-    monkeypatch.setattr(intmat, "_faddeev_leverrier", counted)
+    passes = count_passes(monkeypatch, "det_adjugate")
     f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
     counts = []
     for depth in (1, 24):

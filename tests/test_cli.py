@@ -604,6 +604,46 @@ def test_epsilon_digit_bound():
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_max_depth_bound_is_a_parse_error_at_once(tmp_path, capsys, jobs):
+    # unbounded, the first trace ran past a minute with no output, and the
+    # oracle's gap passed the 4300-digit limit of integer-to-string conversion
+    bound = cli.MAX_DEPTH
+    assert bound >= 192  # the depth of the benchmark's deepest traces
+    f, g = [[2, 1], [1, 3]], [[3, 0], [1, 1]]
+    lines = [job_line(command="trace", d=2, F=f, G=g, max_depth=20000),
+             job_line(command="oracle", d=1, F=[[2]], G=[[3]], max_depth=16384),
+             job_line(command="decide", d=1, F=[[2]], G=[[3]], max_depth=10**8),
+             job_line(command="trace", d=2, F=f, G=g, max_depth=bound + 1),
+             job_line(command="oracle", d=1, F=[[2]], G=[[3]], max_depth=bound)]
+    start = time.perf_counter()
+    code, out = _main_on(tmp_path, capsys, lines, "--jobs", jobs)
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    docs = [json.loads(l) for l in out]
+    assert [d.get("error") for d in docs] == ["ParseError"] * 4 + [None]
+    assert all(d["message"] == f"max_depth must be at most {bound}" for d in docs[:4])
+    assert docs[4]["depth"] == bound
+
+
+def test_main_writes_its_output_in_one_call(tmp_path, monkeypatch):
+    writes = []
+
+    class Out:
+        def write(self, text):
+            writes.append(text)
+
+    lines = [job_line(command="decide", d=1, F=[[k]], G=[[3]]) for k in (2, 4, 5)]
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("\n".join(lines + ["not json"]) + "\n")
+    monkeypatch.setattr(sys, "stdout", Out())
+    assert main(["--input", str(path)]) == 1
+    assert len(writes) == 1
+    out = writes[0].split("\n")
+    assert out[-1] == "" and len(out) == 5
+    assert [run(parse_job(l))[1] for l in lines] == out[:3]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_unparseable_json_is_a_parse_error_line(tmp_path, capsys, jobs):
     # json.loads raises a plain ValueError past the interpreter's
     # integer-digit limit and RecursionError on very deep nesting

@@ -1,18 +1,30 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import det_oracle, rand_nonsingular, rand_unimodular, seeded
+from helpers import (
+    adj_oracle,
+    count_calls,
+    det_oracle,
+    rand_matrix,
+    rand_nonsingular,
+    rand_unimodular,
+    seeded,
+)
 from qsimp import intmat
 from qsimp.errors import SingularMatrix
 from qsimp.intmat import (
     IntMatrix,
     adjugate,
+    charpoly,
     det,
+    det_adjugate,
+    evaluate,
     hnf_rows,
     snf,
     unimodular_inverse,
@@ -59,6 +71,51 @@ def test_adjugate_examples():
 @settings(max_examples=150, deadline=None)
 def test_adjugate_identity(m):
     assert m @ adjugate(m) == IntMatrix.scalar(m.dim, det(m))
+
+
+def test_det_adjugate_matches_cofactor_oracle_by_rank():
+    rng = seeded(23)
+    ranks = Counter()
+    for _ in range(240):
+        d = rng.randint(1, 6)
+        # a d x r times r x d product has rank at most r
+        r = rng.choice([d, d, max(d - 1, 0), max(d - 2, 0), rng.randint(0, d)])
+        left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(d)]
+        right = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(r)]
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                for row in left] if r else [[0] * d for _ in range(d)]
+        dt, adj = det_adjugate(IntMatrix(rows))
+        assert dt == det_oracle(rows)
+        assert [list(row) for row in adj.rows] == adj_oracle(rows)
+        # adj(m) is 0 exactly when the rank is at most d - 2
+        rank = "d" if dt else ("d-1" if any(map(any, adj.rows)) else "<=d-2")
+        ranks[rank] += 1
+    assert min(ranks.values()) >= 30 and len(ranks) == 3
+
+
+def test_det_adjugate_needs_charpoly_only_when_singular(monkeypatch):
+    calls = count_calls(monkeypatch, (intmat,), "charpoly")
+    assert det_adjugate(IntMatrix([[0, 1, 2], [3, 0, 1], [1, 1, 0]]))[0] == 7
+    assert not calls
+    assert det_adjugate(IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == (
+        0, IntMatrix([[-2, 1, 0], [-2, 1, 0], [2, -1, 0]]))
+    assert calls["qsimp.intmat"] == 1
+
+
+def test_charpoly_matrix_products(monkeypatch):
+    # every matrix product in intmat, `@` included, is one _product call
+    products = count_calls(monkeypatch, (intmat,), "_product")
+    rng = seeded(29)
+    # Faddeev-LeVerrier made d - 2 products: none at d = 2, one at d = 3
+    for d, most in ((1, 0), (2, 0), (3, 1), (16, 8), (32, 12)):
+        m = rand_matrix(rng, d, -3, 3)
+        products.clear()
+        c = charpoly(m)
+        assert products["qsimp.intmat"] <= most
+        # Cayley-Hamilton, and the trace and the determinant as c_1 and c_d
+        assert evaluate(c, m) == IntMatrix.scalar(d, 0)
+        assert c[1] == -sum(m.rows[i][i] for i in range(d))
+        assert c[-1] == (-1) ** d * det(m)
 
 
 def hnf(m):

@@ -1,10 +1,9 @@
 import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import count_calls, lattice_points_oracle, rand_nonsingular, seeded
+from helpers import count_calls, count_passes, lattice_points_oracle, rand_nonsingular, seeded
 from qsimp import intmat, lattice
 from qsimp.errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from qsimp.intmat import IntMatrix, det
@@ -97,20 +96,14 @@ def test_preimage_examples():
 
 
 def test_preimage_computes_det_and_adjugate_once(monkeypatch):
-    passes = Counter()
-
-    def counted(m, orig=intmat._faddeev_leverrier):
-        passes[m] += 1
-        return orig(m)
-
-    monkeypatch.setattr(intmat, "_faddeev_leverrier", counted)
+    passes = count_passes(monkeypatch, "det_adjugate")
     dets = count_calls(monkeypatch, (intmat, lattice), "det")
     g = IntMatrix([[1, 2], [3, -4]])
     k = preimage(g, Z2)
     assert passes[g] == 1
     assert preimage(g, k) == preimage(g @ g, Z2)
-    # one Faddeev-LeVerrier pass gives the det and the adjugate of each
-    # call, and no Bareiss det runs
+    # one Gauss-Jordan pass gives the det and the adjugate of each call,
+    # and no Bareiss det runs
     assert passes[g] == 2 and not dets
     with pytest.raises(SingularMatrix):
         preimage(IntMatrix([[1, 2], [2, 4]]), Z2)

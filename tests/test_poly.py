@@ -1,7 +1,7 @@
 import pytest
 
-from helpers import rand_matrix, seeded
-from qsimp.intmat import IntMatrix, charpoly
+from helpers import rand_matrix, rand_unimodular, seeded
+from qsimp.intmat import IntMatrix, charpoly, unimodular_inverse
 from qsimp import poly
 from qsimp.poly import _factor_mod, _factor_squarefree, _mul, _root_candidates, factor
 
@@ -142,8 +142,24 @@ def test_charpoly_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = seeded(137)
-    for _ in range(30):
-        m = rand_matrix(rng, rng.randint(1, 6), -6, 6)
+    cases = [rand_matrix(rng, rng.randint(1, 8), -6, 6) for _ in range(40)]
+    for d in range(1, 9):
+        # nilpotent: strictly upper triangular, conjugated by a unimodular w
+        w = rand_unimodular(rng, d)
+        n = IntMatrix([[rng.randint(-3, 3) if j > i else 0 for j in range(d)]
+                       for i in range(d)])
+        cases.append(w @ n @ unimodular_inverse(w))
+        assert charpoly(cases[-1]) == [1] + [0] * d
+        # singular: the last row is the sum of the others
+        rows = [list(r) for r in rand_matrix(rng, d, -5, 5).rows]
+        rows[-1] = [sum(col) for col in zip(*rows[:-1])] if d > 1 else [0]
+        cases.append(IntMatrix(rows))
+        # repeated eigenvalues: a conjugated diagonal
+        diag = [[2, 2, -1, -1, 3, 3, 3, 0][i] for i in range(d)]
+        cases.append(w @ IntMatrix.diagonal(diag) @ unimodular_inverse(w))
+        # 60-bit entries
+        cases.append(rand_matrix(rng, d, -(2**60), 2**60))
+    for m in cases:
         want = sympy.Matrix([list(r) for r in m.rows]).charpoly(x).all_coeffs()
         assert charpoly(m) == [int(c) for c in want]
     assert charpoly(IntMatrix([[2, 1], [0, 3]])) == [1, -5, 6]

@@ -147,7 +147,7 @@ def test_r5_decide_runs_one_bareiss_det_and_one_adjugate_pass_per_matrix(monkeyp
     v = decide(f, g)
     assert v.rules_fired[-1][0] == "R5-density"
     # check_hypotheses runs Bareiss; the chain's per-pair data reads det and
-    # adjugate from one Faddeev-LeVerrier pass
+    # adjugate from one fraction-free Gauss-Jordan pass
     assert calls == {
         (name, m): 1 for name in ("det", "det_adjugate") for m in (f, g)
     }
