@@ -44,7 +44,15 @@ The density decision:
 * the backward chain is the same with F and G swapped, and the subgroup is
   dense exactly when the two obstruction spaces meet only in 0; otherwise
   a scaled vector of the intersection is a witness character lying in
-  every annihilator.
+  every annihilator;
+* the backward D' = (G F^{-1})^T is D^{-1}, so the backward side's
+  a' = det F D' is det G det F a^{-1}, and its factors are the reciprocals
+  of the forward side's. `decide_density` factors the forward side alone
+  and maps that list; it builds the backward side only when the forward
+  obstruction space is not 0.
+
+`poly` is imported by the first density decision, so the jobs that never
+reach one do not load it.
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ import math
 from operator import mul
 from typing import NamedTuple, Optional
 
-from . import poly
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from .intmat import IntMatrix, charpoly, det_adjugate, evaluate
 from .lattice import (
@@ -103,8 +110,8 @@ class _Side(NamedTuple):
     step: IntMatrix
 
 
-def _sides(f: IntMatrix, g: IntMatrix) -> tuple[_Side, _Side]:
-    """Check the pair and return the forward and the backward side.
+def _pair(f: IntMatrix, g: IntMatrix) -> tuple[tuple[int, IntMatrix], tuple[int, IntMatrix]]:
+    """Check the pair and return (det F, adj F) and (det G, adj G).
 
     Each matrix's det and adjugate come from one fraction-free Gauss-Jordan
     pass, `det_adjugate`.
@@ -114,12 +121,20 @@ def _sides(f: IntMatrix, g: IntMatrix) -> tuple[_Side, _Side]:
     (df, adj_f), (dg, adj_g) = det_adjugate(f), det_adjugate(g)
     if df == 0 or dg == 0:
         raise SingularMatrix("chain iteration needs nonsingular F and G")
-    f_t, g_t = f.transpose(), g.transpose()
-    adj_f_t, adj_g_t = adj_f.transpose(), adj_g.transpose()
-    return (
-        _Side(adj_g_t @ f_t, adj_g_t, dg, f_t @ adj_g_t),
-        _Side(adj_f_t @ g_t, adj_f_t, df, g_t @ adj_f_t),
-    )
+    return (df, adj_f), (dg, adj_g)
+
+
+def _side(f: IntMatrix, dg: int, adj_g: IntMatrix) -> _Side:
+    """The forward side of (F, G) from F and the det and adjugate of G;
+    the backward side is _side(g, det F, adj F)."""
+    f_t, adj_g_t = f.transpose(), adj_g.transpose()
+    return _Side(adj_g_t @ f_t, adj_g_t, dg, f_t @ adj_g_t)
+
+
+def _sides(f: IntMatrix, g: IntMatrix) -> tuple[_Side, _Side]:
+    """Check the pair and return the forward and the backward side."""
+    (df, adj_f), (dg, adj_g) = _pair(f, g)
+    return _side(f, dg, adj_g), _side(g, df, adj_f)
 
 
 def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
@@ -130,7 +145,8 @@ def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
     """
     if l.dim != f.dim:
         raise DimensionMismatch("lattice and matrices differ in dimension")
-    side = _sides(f, g)[0]
+    _, (dg, adj_g) = _pair(f, g)
+    side = _side(f, dg, adj_g)
     rows = [*(l.basis @ side.step).rows,
             *([l.denom * x for x in row] for row in side.adj_t.rows)]
     return from_rational_rows(l.dim, l.denom * abs(side.c), rows)
@@ -175,7 +191,7 @@ def annihilator_step_pos(f: IntMatrix, g: IntMatrix, m: IntegerSublattice) -> In
     Derived from <m, G^{-1} y> = <G^{-T} m, y>; must agree with
     dual_annihilator(step_pos(f, g, dual of M)), which the tests enforce.
     """
-    _sides(f, g)  # raises on a mismatched or singular pair
+    _pair(f, g)  # raises on a mismatched or singular pair
     inter = dual_annihilator(pushforward(f, dual_lattice(m)))
     return sublattice_transform(inter, g.transpose())
 
@@ -193,17 +209,20 @@ def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
                       list(map(index, joins)))
 
 
-def _obstruction_equations(side: _Side) -> Optional[IntMatrix]:
+def _obstruction_equations(
+    side: _Side, factors: list[tuple[list[int], int]]
+) -> Optional[IntMatrix]:
     """N whose kernel is the chain's obstruction space, or None if it is 0.
 
-    A factor x^k + a_1 x^(k-1) + ... + a_k of the characteristic polynomial
-    of a = c D is c^k times a factor of that of D, which is monic over Z
-    exactly when c^i divides every a_i. With M the product of those factors
-    of a, raised to their multiplicities and evaluated at a, the space is
-    G^T ker M = ker M adj(G)^T.
+    `factors` is the factor list [(p, multiplicity), ...] of the
+    characteristic polynomial of a = c D. A factor
+    x^k + a_1 x^(k-1) + ... + a_k of it is c^k times a factor of that of D,
+    which is monic over Z exactly when c^i divides every a_i. With M the
+    product of those factors of a, raised to their multiplicities and
+    evaluated at a, the space is G^T ker M = ker M adj(G)^T.
     """
     m = None
-    for p, mult in poly.factor(charpoly(side.a))[1]:
+    for p, mult in factors:
         if all(x % side.c**i == 0 for i, x in enumerate(p)):
             pa = evaluate(p, side.a)
             for _ in range(mult):
@@ -211,9 +230,36 @@ def _obstruction_equations(side: _Side) -> Optional[IntMatrix]:
     return None if m is None else m @ side.adj_t
 
 
+def _reciprocals(factors: list[tuple[list[int], int]], n: int) -> list[tuple[list[int], int]]:
+    """The factor list of the backward side's characteristic polynomial
+    from that of the forward side, with n = det G det F.
+
+    The backward a' = det F D^{-1} = n a^{-1}, so each root r of chi_a
+    gives the root n / r of chi_a', and a factor p of degree k maps to
+    x^k p(n / x), made primitive with a positive leading coefficient. That
+    map keeps irreducibility and multiplicities, and by Gauss's lemma the
+    primitive images multiply to the monic chi_a' only if each is monic.
+    chi_a(0) = +-det a is not 0, so no factor is x.
+    """
+    from .poly import primitive
+
+    out = []
+    for p, mult in factors:
+        if not p[-1]:
+            raise ConsistencyError("a chain side's characteristic polynomial "
+                                   "has the factor x")
+        q = primitive([x * n**i for i, x in enumerate(reversed(p))])
+        if q[0] != 1:
+            raise ConsistencyError("a reciprocal factor is not monic")
+        out.append((q, mult))
+    return out
+
+
 def _echelon(rows: list[list[int]]) -> list[list[int]]:
     """Rows of the reduced row echelon form, each scaled to a primitive
     integer vector with a positive pivot."""
+    from .poly import primitive
+
     m = [list(r) for r in rows]
     r = 0
     for col in range(len(m[0])):
@@ -224,11 +270,11 @@ def _echelon(rows: list[list[int]]) -> list[list[int]]:
         piv = m[r]
         for i in range(len(m)):
             if i != r and m[i][col]:
-                m[i] = poly.primitive(
+                m[i] = primitive(
                     [piv[col] * x - m[i][col] * y for x, y in zip(m[i], piv)]
                 )
         r += 1
-    return [poly.primitive(row) for row in m[:r]]
+    return [primitive(row) for row in m[:r]]
 
 
 def _kernel(rows: list[list[int]]) -> list[list[int]]:
@@ -259,34 +305,47 @@ def _orbit_denominator(side: _Side, v, steps: int) -> int:
     return e
 
 
+_NO_MONIC_FACTOR = DensityVerdict(
+    DENSE, None, "no factor of a chain's characteristic polynomial is monic "
+    "over Z, so no character survives it",
+)
+
+
 def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
     """Decide whether the subgroup the two chains generate is dense.
 
     Dense when the forward and backward obstruction spaces meet only in 0.
-    Otherwise v, the first row of the reduced echelon form of their
-    intersection made primitive, is scaled by the lcm e of the denominators
-    of D^j G^{-T} v and D'^j F^{-T} v for j < d, with D' = (G F^{-1})^T.
-    On the obstruction space D satisfies a monic integer polynomial of
-    degree at most d (Cayley-Hamilton), so e v stays integral at every
-    step and lies in every annihilator; it is re-checked at step d.
+    Only the forward side's characteristic polynomial is computed and
+    factored. When none of its factors is D-monic the forward space is 0
+    and the answer is Dense; only otherwise is the backward side built,
+    with its factor list mapped from the forward one by `_reciprocals`.
+    When the spaces share a line, v, the first row of the reduced echelon
+    form of their intersection made primitive, is scaled by the lcm e of
+    the denominators of D^j G^{-T} v and D'^j F^{-T} v for j < d, with
+    D' = (G F^{-1})^T. On the obstruction space D satisfies a monic integer
+    polynomial of degree at most d (Cayley-Hamilton), so e v stays integral
+    at every step and lies in every annihilator; it is re-checked at step d.
     """
-    sides = _sides(f, g)
-    d = f.dim
-    equations = []
-    for side in sides:
-        n = _obstruction_equations(side)
-        if n is None:
-            return DensityVerdict(
-                DENSE, None, "no factor of a chain's characteristic "
-                "polynomial is monic over Z, so no character survives it",
-            )
-        equations.extend(n.rows)
-    common = _kernel(equations)
+    from . import poly  # loaded by the first density decision, not at start-up
+
+    (df, adj_f), (dg, adj_g) = _pair(f, g)
+    forward = _side(f, dg, adj_g)
+    factors = poly.factor(charpoly(forward.a))[1]
+    n = _obstruction_equations(forward, factors)
+    if n is None:
+        return _NO_MONIC_FACTOR
+    backward = _side(g, df, adj_f)
+    n_back = _obstruction_equations(backward, _reciprocals(factors, dg * df))
+    if n_back is None:
+        return _NO_MONIC_FACTOR
+    common = _kernel([*n.rows, *n_back.rows])
     if not common:
         return DensityVerdict(
             DENSE, None, "the obstruction spaces of the two chains meet only "
             "in 0",
         )
+    sides = (forward, backward)
+    d = f.dim
     v = _echelon(common)[0]
     e = math.lcm(*(_orbit_denominator(side, v, d) for side in sides))
     witness = tuple(e * x for x in v)

@@ -194,14 +194,22 @@ def charpoly(m: IntMatrix) -> list[int]:
 
 
 def evaluate(p: Sequence[int], m: IntMatrix) -> IntMatrix:
-    """p(m) by Horner's rule, p highest degree first."""
-    acc = IntMatrix.scalar(m.dim, p[0])
-    for coeff in p[1:]:
-        rows = [list(row) for row in (acc @ m).rows]
-        for i, row in enumerate(rows):
+    """p(m) by Horner's rule, p highest degree first.
+
+    The first step is p_0 m + p_1 I, which takes no product, so p of
+    degree k >= 1 costs k - 1 matrix products.
+    """
+    a = m.rows
+    if len(p) == 1:
+        return IntMatrix.scalar(len(a), p[0])
+    cols = tuple(zip(*a))
+    acc = [[p[0] * x for x in row] for row in a]
+    for k, coeff in enumerate(p[1:]):
+        if k:
+            acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+        for i, row in enumerate(acc):
             row[i] += coeff
-        acc = IntMatrix._of(tuple(map(tuple, rows)))
-    return acc
+    return IntMatrix._of(tuple(map(tuple, acc)))
 
 
 def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:

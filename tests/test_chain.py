@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import count_calls, count_passes, rand_nonsingular, rand_unimodular, seeded
-from qsimp import chain, cli, intmat, lattice
+from qsimp import chain, cli, intmat, lattice, poly
 from qsimp.chain import (
     DENSE,
     NOT_DENSE,
@@ -16,7 +16,7 @@ from qsimp.chain import (
 )
 from qsimp.errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from qsimp.finite_oracle import density_1d
-from qsimp.intmat import IntMatrix, det
+from qsimp.intmat import IntMatrix, charpoly, det
 from qsimp.lattice import (
     dual_annihilator,
     from_rational_rows,
@@ -423,6 +423,104 @@ def test_decide_density_rechecks_witness(monkeypatch):
     monkeypatch.setattr(chain, "_orbit_denominator", unscaled)
     with pytest.raises(ConsistencyError):
         decide_density(m1(2), m1(2))
+
+
+def _block_sum(*blocks):
+    d = sum(b.dim for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(row) + [0] * (d - at - b.dim) for row in b.rows]
+        at += b.dim
+    return IntMatrix(rows)
+
+
+def _factor_pairs():
+    """Seeded nonsingular pairs for d = 1..8, and block sums of a repeated
+    block, whose characteristic polynomials have repeated factors."""
+    rng = seeded(61)
+    pairs = []
+    for d in range(1, 9):
+        for _ in range(12 if d <= 4 else 4):
+            pairs.append((rand_nonsingular(rng, d, -3, 3), rand_nonsingular(rng, d, -3, 3)))
+    for d in (1, 2, 3, 4):
+        for copies in (2, 3) if d <= 2 else (2,):
+            for _ in range(3):
+                f, g = rand_nonsingular(rng, d, -3, 3), rand_nonsingular(rng, d, -3, 3)
+                pairs.append((_block_sum(*[f] * copies), _block_sum(*[g] * copies)))
+    return pairs
+
+
+def _mapped_backward_factors(f, g):
+    """The backward side, and its factor list mapped from the forward one."""
+    (df, adj_f), (dg, adj_g) = chain._pair(f, g)
+    forward = chain._side(f, dg, adj_g)
+    return (chain._side(g, df, adj_f),
+            chain._reciprocals(poly.factor(charpoly(forward.a))[1], dg * df))
+
+
+def _multiset(factors):
+    return sorted((tuple(p), mult) for p, mult in factors)
+
+
+def test_reciprocal_factors_match_the_backward_factorisation():
+    signs, repeated, dims = set(), 0, set()
+    for f, g in _factor_pairs():
+        backward, mapped = _mapped_backward_factors(f, g)
+        content, want = poly.factor(charpoly(backward.a))
+        assert content == 1
+        assert _multiset(mapped) == _multiset(want), (f, g)
+        # the obstruction equations are one matrix, whichever order the
+        # commuting factors come in
+        assert (chain._obstruction_equations(backward, mapped)
+                == chain._obstruction_equations(backward, want))
+        signs.add(det(f) * det(g) > 0)
+        repeated += any(mult > 1 for _, mult in want)
+        dims.add(f.dim)
+    assert signs == {True, False} and repeated >= 18 and dims == set(range(1, 9))
+
+
+def test_reciprocal_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for f, g in _factor_pairs()[::3]:
+        backward, mapped = _mapped_backward_factors(f, g)
+        content, want = sympy.factor_list(sympy.Poly(charpoly(backward.a), x))
+        assert content == 1
+        assert _multiset(mapped) == _multiset(
+            ([int(c) for c in p.all_coeffs()], mult) for p, mult in want), (f, g)
+
+
+def test_reciprocals_reject_the_factor_x_and_non_monic_images():
+    # x + 2 has the root -2, so with n = -4 its image is x - 2
+    assert chain._reciprocals([([1, 2], 2)], -4) == [([1, -2], 2)]
+    with pytest.raises(ConsistencyError):
+        chain._reciprocals([([1, 0], 1)], 6)
+    # the image of x + 2 for n = 3 is 2x + 3
+    with pytest.raises(ConsistencyError):
+        chain._reciprocals([([1, 2], 1)], 3)
+
+
+@pytest.mark.parametrize("f, g, status, sides", [
+    # no factor of the forward side is D-monic
+    ([[-1, -2], [0, 2]], [[-3, -3], [3, 1]], DENSE, 1),
+    # G unimodular, so every forward factor is D-monic; none of the
+    # backward side's is
+    ([[0, 3], [-2, 0]], [[1, -3], [1, -2]], DENSE, 2),
+    # chi_a = (x + 2)^2, D-monic
+    ([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], NOT_DENSE, 2),
+], ids=["forward-dense", "backward-dense", "not-dense"])
+def test_decide_density_factors_one_characteristic_polynomial(monkeypatch, f, g, status, sides):
+    charpolys = count_calls(monkeypatch, (chain,), "charpoly")
+    factors = count_calls(monkeypatch, (poly,), "factor")
+    built = count_calls(monkeypatch, (chain,), "_side")
+    v = decide_density(IntMatrix(f), IntMatrix(g))
+    assert v.status == status
+    assert charpolys == {"qsimp.chain": 1} and factors == {"qsimp.poly": 1}
+    # the backward side is built only when the forward side has a D-monic
+    # factor
+    assert built == {"qsimp.chain": sides}
+    if status == DENSE:
+        assert v.reason.startswith("no factor of a chain's characteristic polynomial")
 
 
 def test_reproducer_not_simple():

@@ -700,17 +700,29 @@ def test_console_entry_point():
 def test_cold_start_loads_no_pool_or_dataclasses(tmp_path):
     # no --jobs value needs the process pool's multiprocessing stack, and
     # none needs dataclasses (which pulls in inspect); the bench tracer looks
-    # up qsimp.presentation and qsimp.finite_oracle after importing the CLI
+    # up qsimp.presentation and qsimp.finite_oracle after importing the CLI.
+    # Only R5 factors polynomials, so qsimp.poly is loaded by the first R5
+    # job: R3/R4 decides, present, oracle and trace jobs leave it out
     path = tmp_path / "jobs.jsonl"
-    path.write_text("\n".join(job_line(command="decide", d=1, F=[[k]], G=[[3]])
-                              for k in (2, 4, 5)) + "\n")
+    pair = {"d": 2, "F": [[2, 1], [1, 3]], "G": [[3, 0], [1, 1]]}
+    path.write_text("\n".join([
+        *(job_line(command="decide", d=1, F=[[k]], G=[[3]]) for k in (2, 4, 5)),
+        job_line(command="decide", d=2, F=[[2, 0], [0, 2]], G=[[1, 1], [0, 1]]),
+        job_line(command="present", **pair),
+        job_line(command="oracle", d=1, F=[[2]], G=[[3]], max_depth=6),
+        job_line(command="trace", max_depth=4, **pair),
+    ]) + "\n")
+    r5 = tmp_path / "r5.jsonl"
+    r5.write_text(job_line(command="decide", d=2, F=[[0, -3], [1, 0]], G=[[-4, 1], [-3, 0]]) + "\n")
     probe = (
         "import qsimp.cli, sys; "
         "modules = lambda: sorted(m for m in ('concurrent.futures', 'multiprocessing', "
-        "'dataclasses', 'inspect', 'qsimp.presentation', 'qsimp.finite_oracle') "
-        "if m in sys.modules); "
+        "'dataclasses', 'inspect', 'qsimp.presentation', 'qsimp.finite_oracle', "
+        "'qsimp.poly') if m in sys.modules); "
         "print(modules()); "
         f"[qsimp.cli.main(['--input', {str(path)!r}, '--jobs', j]) for j in ('1', '2')]; "
+        "print(modules()); "
+        f"qsimp.cli.main(['--input', {str(r5)!r}, '--jobs', '1']); "
         "print(modules())"
     )
     proc = subprocess.run(
@@ -722,5 +734,7 @@ def test_cold_start_loads_no_pool_or_dataclasses(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.splitlines()
-    assert len(out) == 8
-    assert out[0] == out[7] == "['qsimp.finite_oracle', 'qsimp.presentation']"
+    assert len(out) == 18
+    assert '"status":"Simple","rules":["R5-density"]' in out[16]
+    assert out[0] == out[15] == "['qsimp.finite_oracle', 'qsimp.presentation']"
+    assert out[17] == "['qsimp.finite_oracle', 'qsimp.poly', 'qsimp.presentation']"

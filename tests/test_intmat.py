@@ -118,6 +118,39 @@ def test_charpoly_matrix_products(monkeypatch):
         assert c[-1] == (-1) ** d * det(m)
 
 
+def _horner_from_scalar(p, m):
+    """p(m) by Horner's rule from the scalar matrix p_0 I, one product per
+    later coefficient."""
+    acc = IntMatrix.scalar(m.dim, p[0])
+    for coeff in p[1:]:
+        acc = IntMatrix([[x + coeff * (i == j) for j, x in enumerate(row)]
+                         for i, row in enumerate((acc @ m).rows)])
+    return acc
+
+
+def test_evaluate_matches_horner_from_the_scalar_matrix():
+    rng = seeded(31)
+    for d in (1, 2, 3, 4):
+        for k in range(6):  # degrees 0 to 5
+            for _ in range(8):
+                m = rand_matrix(rng, d, -5, 5)
+                # leading coefficients other than 1 included
+                p = [rng.choice([-3, -1, 1, 2, 5])] + [rng.randint(-9, 9) for _ in range(k)]
+                assert evaluate(p, m) == _horner_from_scalar(p, m), (p, m)
+    m = IntMatrix([[2, -1], [3, 4]])
+    assert evaluate([7], m) == IntMatrix.scalar(2, 7)
+    assert evaluate([-2, 5], m) == IntMatrix([[1, 2], [-6, -3]])
+    # det_adjugate's singular route evaluates (-1)^(d-1) times charpoly
+    # without its constant term, so with a leading -1 at even d; m is a
+    # rank-one matrix, singular for d >= 2
+    for d in (1, 2, 3, 4):
+        m = IntMatrix([[(i + 1) * (j - 2) for j in range(d)] for i in range(d)])
+        p = [(-1) ** (d - 1) * c for c in charpoly(m)[:-1]]
+        assert evaluate(p, m) == _horner_from_scalar(p, m)
+        if d > 1:
+            assert det_adjugate(m) == (0, evaluate(p, m))
+
+
 def hnf(m):
     """Row HNF of a nonsingular square matrix; |det m| * Z^d lies in its
     row lattice."""
