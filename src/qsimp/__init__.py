@@ -1,68 +1,89 @@
 """Exact-arithmetic simplicity decisions for torus-relation Cuntz-Pimsner
-algebras, plus the lattice machinery behind them."""
+algebras, plus the lattice machinery behind them.
 
-from .chain import (
-    ChainTrace,
-    DensityVerdict,
-    annihilator_step_pos,
-    compute_chain,
-    decide_density,
-    step_pos,
-)
-from .errors import (
-    ConsistencyError,
-    DimensionMismatch,
-    NonPositiveDiagonal,
-    NotTriangular,
-    ParseError,
-    QsimpError,
-    SingularMatrix,
-    UnsupportedFormat,
-)
-from .finite_oracle import (
-    FiniteQuiver,
-    GapResult,
-    MinimalityReport,
-    condition_L_finite,
-    density_1d,
-    gamma0_finite,
-    minimal_finite,
-    verify_minimality_theorem,
-)
-from .intmat import (
-    IntMatrix,
-    SmithDecomposition,
-    adjugate,
-    det,
-    snf,
-    unimodular_inverse,
-)
-from .lattice import (
-    IntegerSublattice,
-    RationalLattice,
-    contains,
-    dual_annihilator,
-    dual_lattice,
-    from_rational_rows,
-    index,
-    join,
-    preimage,
-    pushforward,
-    standard,
-    sublattice_contains,
-    sublattice_from_rows,
-    sublattice_index,
-    sublattice_transform,
-)
-from .presentation import Presentation, index_set, present, render
-from .simplicity import (
-    Hypotheses,
-    SimplicityVerdict,
-    check_hypotheses,
-    decide,
-    is_dilation,
-    normalize,
-    triangular_criterion,
-)
+`errors` and `intmat` load with the package, since every job parses into
+an `IntMatrix`. The other submodules are lazy: each is in `sys.modules`
+from the start, as tools that look a layer up there expect, but its code
+runs at its first attribute access. So a batch runs only the modules its
+jobs use. Inside the package a module refers to a lazy sibling as a module
+attribute (`from . import lattice`, then `lattice.join`), because
+`from .lattice import join` would run `lattice` at once. The names in
+`__all__` resolve through `__getattr__`, which loads their submodule.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib.util
+import sys
+
+from . import errors, intmat
+
+
+def _lazy(name: str):
+    """Register submodule `name` without running it, by the importlib
+    documentation's recipe for lazy imports."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+chain = _lazy("chain")
+finite_oracle = _lazy("finite_oracle")
+lattice = _lazy("lattice")
+poly = _lazy("poly")
+presentation = _lazy("presentation")
+simplicity = _lazy("simplicity")
+
+_EXPORTS = {
+    chain: ("ChainTrace", "DensityVerdict", "annihilator_step_pos",
+            "compute_chain", "decide_density", "step_pos"),
+    errors: ("ConsistencyError", "DimensionMismatch", "NonPositiveDiagonal",
+             "NotTriangular", "ParseError", "QsimpError", "SingularMatrix",
+             "UnsupportedFormat"),
+    finite_oracle: ("FiniteQuiver", "GapResult", "MinimalityReport",
+                    "condition_L_finite", "density_1d", "gamma0_finite",
+                    "minimal_finite", "verify_minimality_theorem"),
+    intmat: ("IntMatrix", "SmithDecomposition", "adjugate", "det", "snf",
+             "unimodular_inverse"),
+    lattice: ("IntegerSublattice", "RationalLattice", "contains",
+              "dual_annihilator", "dual_lattice", "from_rational_rows", "index",
+              "join", "preimage", "pushforward", "standard",
+              "sublattice_contains", "sublattice_from_rows", "sublattice_index",
+              "sublattice_transform"),
+    presentation: ("Presentation", "index_set", "present", "render"),
+    simplicity: ("Hypotheses", "SimplicityVerdict", "check_hypotheses",
+                 "decide", "is_dilation", "normalize", "triangular_criterion"),
+}
+# name -> the module that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [
+    "ChainTrace", "ConsistencyError", "DensityVerdict", "DimensionMismatch",
+    "FiniteQuiver", "GapResult", "Hypotheses", "IntMatrix", "IntegerSublattice",
+    "MinimalityReport", "NonPositiveDiagonal", "NotTriangular", "ParseError",
+    "Presentation", "QsimpError", "RationalLattice", "SimplicityVerdict",
+    "SingularMatrix", "SmithDecomposition", "UnsupportedFormat", "adjugate",
+    "annihilator_step_pos", "chain", "check_hypotheses", "compute_chain",
+    "condition_L_finite", "contains", "decide", "decide_density", "density_1d",
+    "det", "dual_annihilator", "dual_lattice", "errors", "finite_oracle",
+    "from_rational_rows", "gamma0_finite", "index", "index_set", "intmat",
+    "is_dilation", "join", "lattice", "minimal_finite", "normalize", "preimage",
+    "present", "presentation", "pushforward", "render", "simplicity", "snf",
+    "standard", "step_pos", "sublattice_contains", "sublattice_from_rows",
+    "sublattice_index", "sublattice_transform", "triangular_criterion",
+    "unimodular_inverse", "verify_minimality_theorem",
+]
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -51,8 +51,9 @@ The density decision:
   and maps that list; it builds the backward side only when the forward
   obstruction space is not 0.
 
-`poly` is imported by the first density decision, so the jobs that never
-reach one do not load it.
+`lattice` and `poly` are lazy submodules (see the package docstring),
+used here as module attributes: a trace runs `lattice` and never `poly`,
+and a density decision runs `poly` and never `lattice`.
 """
 
 from __future__ import annotations
@@ -61,23 +62,9 @@ import math
 from operator import mul
 from typing import NamedTuple, Optional
 
+from . import lattice, poly
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from .intmat import IntMatrix, charpoly, det_adjugate, evaluate
-from .lattice import (
-    IntegerSublattice,
-    RationalLattice,
-    dual_annihilator,
-    dual_annihilators,
-    dual_lattice,
-    from_rational_rows,
-    index,
-    join,
-    pushforward,
-    standard,
-    sublattice_transform,
-)
-
-DEFAULT_MAX_DEPTH = 24
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
@@ -87,10 +74,10 @@ class ChainTrace(NamedTuple):
     """Levels 0..depth of both chains, their joins, and the dual data."""
 
     depth: int
-    pos: list[RationalLattice]
-    neg: list[RationalLattice]
-    joins: list[RationalLattice]
-    annihilators: list[IntegerSublattice]
+    pos: list[lattice.RationalLattice]
+    neg: list[lattice.RationalLattice]
+    joins: list[lattice.RationalLattice]
+    annihilators: list[lattice.IntegerSublattice]
     indices: list[int]
 
 
@@ -101,13 +88,12 @@ class DensityVerdict(NamedTuple):
 
 
 class _Side(NamedTuple):
-    """One chain's data for a pair (F, G): D = a / c and G^{-T} = adj_t / c,
-    and the row map `step` = F^T adj(G)^T of a level."""
+    """One chain's data for the density decision of a pair (F, G):
+    D = a / c and G^{-T} = adj_t / c."""
 
     a: IntMatrix
     adj_t: IntMatrix
     c: int
-    step: IntMatrix
 
 
 def _pair(f: IntMatrix, g: IntMatrix) -> tuple[tuple[int, IntMatrix], tuple[int, IntMatrix]]:
@@ -127,17 +113,17 @@ def _pair(f: IntMatrix, g: IntMatrix) -> tuple[tuple[int, IntMatrix], tuple[int,
 def _side(f: IntMatrix, dg: int, adj_g: IntMatrix) -> _Side:
     """The forward side of (F, G) from F and the det and adjugate of G;
     the backward side is _side(g, det F, adj F)."""
-    f_t, adj_g_t = f.transpose(), adj_g.transpose()
-    return _Side(adj_g_t @ f_t, adj_g_t, dg, f_t @ adj_g_t)
+    adj_g_t = adj_g.transpose()
+    return _Side(adj_g_t @ f.transpose(), adj_g_t, dg)
 
 
-def _sides(f: IntMatrix, g: IntMatrix) -> tuple[_Side, _Side]:
-    """Check the pair and return the forward and the backward side."""
-    (df, adj_f), (dg, adj_g) = _pair(f, g)
-    return _side(f, dg, adj_g), _side(g, df, adj_f)
+def _step(f: IntMatrix, adj_g: IntMatrix) -> IntMatrix:
+    """The row map F^T adj(G)^T of a forward level; _step(g, adj F) is the
+    backward one."""
+    return f.transpose() @ adj_g.transpose()
 
 
-def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
+def step_pos(f: IntMatrix, g: IntMatrix, l: lattice.RationalLattice) -> lattice.RationalLattice:
     """One forward level: G-preimage of the F-image, in one canonicalisation.
 
     step_pos(g, f, l) is the backward level, the F-preimage of the G-image.
@@ -146,14 +132,15 @@ def step_pos(f: IntMatrix, g: IntMatrix, l: RationalLattice) -> RationalLattice:
     if l.dim != f.dim:
         raise DimensionMismatch("lattice and matrices differ in dimension")
     _, (dg, adj_g) = _pair(f, g)
-    side = _side(f, dg, adj_g)
-    rows = [*(l.basis @ side.step).rows,
-            *([l.denom * x for x in row] for row in side.adj_t.rows)]
-    return from_rational_rows(l.dim, l.denom * abs(side.c), rows)
+    rows = [*(l.basis @ _step(f, adj_g)).rows,
+            *([l.denom * x for x in row] for row in adj_g.transpose().rows)]
+    return lattice.from_rational_rows(l.dim, l.denom * abs(dg), rows)
 
 
-def _levels(side: _Side, level: RationalLattice, depth: int) -> list[RationalLattice]:
-    """Levels 1..depth of a chain from its level 1 and its side.
+def _levels(step: IntMatrix, c: int, level: lattice.RationalLattice,
+            depth: int) -> list[lattice.RationalLattice]:
+    """Levels 1..depth of a chain from its level 1, its row map `step` and
+    c = det G.
 
     Each later level folds only the images of the generators of level 1
     over Z^d, by the recurrence of the module docstring. The images u over
@@ -166,7 +153,7 @@ def _levels(side: _Side, level: RationalLattice, depth: int) -> list[RationalLat
     checked.
     """
     levels = [level]
-    n, cols = abs(side.c), list(zip(*side.step.rows))
+    n, cols = abs(c), list(zip(*step.rows))
     den = level.denom
     rows = [row for i, row in enumerate(level.basis.rows) if row[i] != den]
     while len(levels) < depth:
@@ -180,33 +167,34 @@ def _levels(side: _Side, level: RationalLattice, depth: int) -> list[RationalLat
             images.append([x // div % den for x in image])
         rows = images
         start = [[n * x for x in row] for row in level.basis.rows]
-        level = from_rational_rows(level.dim, den, rows, start)
+        level = lattice.from_rational_rows(level.dim, den, rows, start)
         levels.append(level)
     return levels
 
 
-def annihilator_step_pos(f: IntMatrix, g: IntMatrix, m: IntegerSublattice) -> IntegerSublattice:
+def annihilator_step_pos(f: IntMatrix, g: IntMatrix,
+                         m: lattice.IntegerSublattice) -> lattice.IntegerSublattice:
     """Dual of step_pos: G^T (F^{-T} M intersected with Z^d).
 
     Derived from <m, G^{-1} y> = <G^{-T} m, y>; must agree with
     dual_annihilator(step_pos(f, g, dual of M)), which the tests enforce.
     """
     _pair(f, g)  # raises on a mismatched or singular pair
-    inter = dual_annihilator(pushforward(f, dual_lattice(m)))
-    return sublattice_transform(inter, g.transpose())
+    inter = lattice.dual_annihilator(lattice.pushforward(f, lattice.dual_lattice(m)))
+    return lattice.sublattice_transform(inter, g.transpose())
 
 
 def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
     """Fill every level 0..depth; no early exit."""
-    sides = _sides(f, g)  # raises on a mismatched or singular pair
+    (df, adj_f), (dg, adj_g) = _pair(f, g)  # raises on a mismatched or singular pair
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    z = standard(f.dim)
-    pos = [z, *_levels(sides[0], step_pos(f, g, z), depth)]
-    neg = [z, *_levels(sides[1], step_pos(g, f, z), depth)]
-    joins = [z, *map(join, pos[1:], neg[1:])]
-    return ChainTrace(depth, pos, neg, joins, dual_annihilators(joins),
-                      list(map(index, joins)))
+    z = lattice.standard(f.dim)
+    pos = [z, *_levels(_step(f, adj_g), dg, step_pos(f, g, z), depth)]
+    neg = [z, *_levels(_step(g, adj_f), df, step_pos(g, f, z), depth)]
+    joins = [z, *map(lattice.join, pos[1:], neg[1:])]
+    return ChainTrace(depth, pos, neg, joins, lattice.dual_annihilators(joins),
+                      list(map(lattice.index, joins)))
 
 
 def _obstruction_equations(
@@ -241,14 +229,12 @@ def _reciprocals(factors: list[tuple[list[int], int]], n: int) -> list[tuple[lis
     primitive images multiply to the monic chi_a' only if each is monic.
     chi_a(0) = +-det a is not 0, so no factor is x.
     """
-    from .poly import primitive
-
     out = []
     for p, mult in factors:
         if not p[-1]:
             raise ConsistencyError("a chain side's characteristic polynomial "
                                    "has the factor x")
-        q = primitive([x * n**i for i, x in enumerate(reversed(p))])
+        q = poly.primitive([x * n**i for i, x in enumerate(reversed(p))])
         if q[0] != 1:
             raise ConsistencyError("a reciprocal factor is not monic")
         out.append((q, mult))
@@ -258,8 +244,6 @@ def _reciprocals(factors: list[tuple[list[int], int]], n: int) -> list[tuple[lis
 def _echelon(rows: list[list[int]]) -> list[list[int]]:
     """Rows of the reduced row echelon form, each scaled to a primitive
     integer vector with a positive pivot."""
-    from .poly import primitive
-
     m = [list(r) for r in rows]
     r = 0
     for col in range(len(m[0])):
@@ -270,11 +254,11 @@ def _echelon(rows: list[list[int]]) -> list[list[int]]:
         piv = m[r]
         for i in range(len(m)):
             if i != r and m[i][col]:
-                m[i] = primitive(
+                m[i] = poly.primitive(
                     [piv[col] * x - m[i][col] * y for x, y in zip(m[i], piv)]
                 )
         r += 1
-    return [primitive(row) for row in m[:r]]
+    return [poly.primitive(row) for row in m[:r]]
 
 
 def _kernel(rows: list[list[int]]) -> list[list[int]]:
@@ -326,8 +310,6 @@ def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
     polynomial of degree at most d (Cayley-Hamilton), so e v stays integral
     at every step and lies in every annihilator; it is re-checked at step d.
     """
-    from . import poly  # loaded by the first density decision, not at start-up
-
     (df, adj_f), (dg, adj_g) = _pair(f, g)
     forward = _side(f, dg, adj_g)
     factors = poly.factor(charpoly(forward.a))[1]

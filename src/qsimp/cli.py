@@ -26,6 +26,7 @@ EXIT_DEFINITE = 0
 EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 
+DEFAULT_MAX_DEPTH = 24
 DEFAULT_EPSILON = Fraction(1, 1000)
 # bound on the digits of a string epsilon and on its decimal exponent, so
 # that Fraction builds it at once and its terms print under Python's
@@ -138,7 +139,7 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
         g = _parse_matrix(doc, "G", d)
     else:
         f = g = None
-    max_depth = doc.get("max_depth", chain.DEFAULT_MAX_DEPTH)
+    max_depth = doc.get("max_depth", DEFAULT_MAX_DEPTH)
     if type(max_depth) is not int or max_depth < 1:
         raise ParseError("max_depth must be a positive integer")
     if max_depth > MAX_DEPTH:

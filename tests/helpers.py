@@ -78,11 +78,23 @@ def seeded(seed):
     return random.Random(seed)
 
 
+def _loaded(modules):
+    """`modules`, each run if it is a lazy qsimp module that has not run.
+
+    A lazy module runs at its first attribute access and binds what its
+    imports name at that moment. Run midway through a rebinding, it would
+    bind a counter that monkeypatch never restores.
+    """
+    for module in modules:
+        vars(module)
+    return modules
+
+
 def count_calls(monkeypatch, modules, name):
     """Counter of calls to `name` through each module's own binding of it,
     keyed by module name; the bindings are restored with monkeypatch."""
     calls = Counter()
-    for module in modules:
+    for module in _loaded(modules):
         if hasattr(module, name):
             def counted(*args, orig=getattr(module, name), key=module.__name__):
                 calls[key] += 1
@@ -105,8 +117,9 @@ def count_passes(monkeypatch, name):
         passes[m] += 1
         return orig(m)
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("qsimp") and getattr(module, name, None) is orig:
+    modules = [m for key, m in list(sys.modules.items()) if key.startswith("qsimp.")]
+    for module in _loaded(modules):
+        if getattr(module, name, None) is orig:
             monkeypatch.setattr(module, name, counted)
     return passes
 

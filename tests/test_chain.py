@@ -34,6 +34,11 @@ def m1(x):
     return IntMatrix([[x]])
 
 
+def _step(f, g):
+    """The forward row map F^T adj(G)^T of the levels of (F, G)."""
+    return chain._step(f, intmat.adjugate(g))
+
+
 Z1 = standard(1)
 HALF = from_rational_rows(1, 2, [[1]])
 THIRD = from_rational_rows(1, 3, [[1]])
@@ -177,11 +182,11 @@ def test_compute_chain_hnf_count(monkeypatch):
     monkeypatch.setattr(lattice, "hnf_rows", hnf)
     folded = []
 
-    def counted(dim, denom, int_rows, start=None, orig=chain.from_rational_rows):
+    def counted(dim, denom, int_rows, start=None, orig=lattice.from_rational_rows):
         folded.append(len(int_rows))
         return orig(dim, denom, int_rows, start)
 
-    monkeypatch.setattr(chain, "from_rational_rows", counted)
+    monkeypatch.setattr(lattice, "from_rational_rows", counted)
     # det F = 5 and det G = 3 are prime, so each chain has one generator
     f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
     for n in (1, 5, 24):
@@ -198,8 +203,8 @@ def test_compute_chain_hnf_count(monkeypatch):
         # per orientation, level 1 is step_pos's fold of the d rows of
         # Z^d's image and the d rows of adj(G)^T, and each later level
         # folds the one generator image; at depth 1 that is one fold per
-        # orientation
-        assert folded == ([4] + [1] * (n - 1)) * 2
+        # orientation. Each join then folds the d rows of a backward level
+        assert folded == ([4] + [1] * (n - 1)) * 2 + [2] * n
     rng = seeded(61)
     for _ in range(40):
         d = rng.randint(1, 4)
@@ -208,7 +213,7 @@ def test_compute_chain_hnf_count(monkeypatch):
         for a, b in ((f, g), (g, f)):
             folded.clear()
             first = step_pos(a, b, standard(d))
-            chain._levels(chain._sides(a, b)[0], first, 6)
+            chain._levels(_step(a, b), det(b), first, 6)
             r = sum(first.basis.rows[i][i] != first.denom for i in range(d))
             assert len(folded) == 6 and folded[0] == 2 * d
             assert max(folded[1:]) <= r
@@ -233,24 +238,24 @@ def test_levels_check_the_generator_images(monkeypatch):
     f, g = IntMatrix.diagonal([2, 1]), IntMatrix.diagonal([3, 1])
     third = from_rational_rows(2, 3, [[1, 0]])
     assert step_pos(f, g, standard(2)) == third
-    side = chain._sides(f, g)[0]
-    orig = chain.from_rational_rows
-    monkeypatch.setattr(chain, "from_rational_rows",
+    step = _step(f, g)
+    orig = lattice.from_rational_rows
+    monkeypatch.setattr(lattice, "from_rational_rows",
                         lambda dim, denom, rows, start=None: orig(dim, denom, [], start))
     # no image is advanced past the last level
-    assert chain._levels(side, third, 2) == [third, third]
+    assert chain._levels(step, 3, third, 2) == [third, third]
     with pytest.raises(ConsistencyError):
-        chain._levels(side, third, 3)
+        chain._levels(step, 3, third, 3)
 
 
 def test_levels_reduce_images_modulo_the_fold_denominator(monkeypatch):
     folds = []
 
-    def counted(dim, denom, int_rows, start=None, orig=chain.from_rational_rows):
+    def counted(dim, denom, int_rows, start=None, orig=lattice.from_rational_rows):
         folds.append((denom, int_rows))
         return orig(dim, denom, int_rows, start)
 
-    monkeypatch.setattr(chain, "from_rational_rows", counted)
+    monkeypatch.setattr(lattice, "from_rational_rows", counted)
     rng = seeded(89)
     entries = 0
     for _ in range(40):
@@ -260,7 +265,7 @@ def test_levels_reduce_images_modulo_the_fold_denominator(monkeypatch):
         for a, b in ((f, g), (g, f)):
             first = step_pos(a, b, standard(d))
             folds.clear()
-            chain._levels(chain._sides(a, b)[0], first, 8)
+            chain._levels(_step(a, b), det(b), first, 8)
             # every row folded after level 1 is an image kept in [0, den)
             for den, rows in folds:
                 for row in rows:
@@ -521,6 +526,32 @@ def test_decide_density_factors_one_characteristic_polynomial(monkeypatch, f, g,
     assert built == {"qsimp.chain": sides}
     if status == DENSE:
         assert v.reason.startswith("no factor of a chain's characteristic polynomial")
+
+
+def test_sides_build_only_the_products_their_callers_read(monkeypatch):
+    products = []
+
+    def counted(a, b, orig=IntMatrix.__matmul__):
+        products.append((a, b))
+        return orig(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    # a density side is a = adj(G)^T F^T alone, one product. The NotSimple
+    # pair, chi_a = (x + 2)^2, builds both sides, and each side's
+    # obstruction equations take two more: the square of its factor at a,
+    # and that times adj(G)^T
+    for f, g, n in (([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], 6),
+                    ([[-1, -2], [0, 2]], [[-3, -3], [3, 1]], 1)):
+        products.clear()
+        assert decide(IntMatrix(f), IntMatrix(g)).rules_fired[-1][0] == "R5-density"
+        assert len(products) == n
+    # a trace builds no side: per orientation, the row map F^T adj(G)^T
+    # for the later levels, and again in step_pos with B times it for
+    # level 1; the levels themselves multiply no IntMatrix
+    for depth in (1, 5):
+        products.clear()
+        compute_chain(IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]]), depth)
+        assert len(products) == 6
 
 
 def test_reproducer_not_simple():

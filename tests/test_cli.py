@@ -697,44 +697,127 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["status"] == "Simple"
 
 
+# every layer the bench tracer looks up in sys.modules, and poly
+LAZY_MODULES = ["qsimp.chain", "qsimp.finite_oracle", "qsimp.lattice", "qsimp.poly",
+                "qsimp.presentation", "qsimp.simplicity"]
+EAGER_MODULES = ["qsimp.cli", "qsimp.errors", "qsimp.intmat"]
+# prints, before and after each batch, the qsimp modules in sys.modules,
+# those whose code ran (a lazy module that has not run is an instance of a
+# ModuleType subclass) and the heavy stdlib modules present. It runs the
+# batch under --jobs 2 first, where this process runs share 0, then under
+# --jobs 1
+COLD_START_PROBE = """
+import json, sys, types
+import qsimp.cli
+
+def state():
+    registered = sorted(k for k in sys.modules if k.startswith("qsimp."))
+    print(json.dumps({
+        "registered": registered,
+        "executed": [k for k in registered if type(sys.modules[k]) is types.ModuleType],
+        "stdlib": sorted(m for m in ("concurrent.futures", "multiprocessing", "dataclasses",
+                                     "inspect") if m in sys.modules),
+    }))
+
+state()
+for jobs in ("2", "1"):
+    qsimp.cli.main(["--input", sys.argv[1], "--jobs", jobs])
+    state()
+"""
+
+
 def test_cold_start_loads_no_pool_or_dataclasses(tmp_path):
     # no --jobs value needs the process pool's multiprocessing stack, and
-    # none needs dataclasses (which pulls in inspect); the bench tracer looks
-    # up qsimp.presentation and qsimp.finite_oracle after importing the CLI.
-    # Only R5 factors polynomials, so qsimp.poly is loaded by the first R5
-    # job: R3/R4 decides, present, oracle and trace jobs leave it out
-    path = tmp_path / "jobs.jsonl"
+    # none needs dataclasses (which pulls in inspect). Every traced layer is
+    # in sys.modules after importing the CLI, as the bench tracer expects,
+    # but a batch runs only the modules its jobs use: only R5 reaches the
+    # chain and factors polynomials, and only trace builds lattices
     pair = {"d": 2, "F": [[2, 1], [1, 3]], "G": [[3, 0], [1, 1]]}
-    path.write_text("\n".join([
-        *(job_line(command="decide", d=1, F=[[k]], G=[[3]]) for k in (2, 4, 5)),
-        job_line(command="decide", d=2, F=[[2, 0], [0, 2]], G=[[1, 1], [0, 1]]),
-        job_line(command="present", **pair),
-        job_line(command="oracle", d=1, F=[[2]], G=[[3]], max_depth=6),
-        job_line(command="trace", max_depth=4, **pair),
-    ]) + "\n")
-    r5 = tmp_path / "r5.jsonl"
-    r5.write_text(job_line(command="decide", d=2, F=[[0, -3], [1, 0]], G=[[-4, 1], [-3, 0]]) + "\n")
-    probe = (
-        "import qsimp.cli, sys; "
-        "modules = lambda: sorted(m for m in ('concurrent.futures', 'multiprocessing', "
-        "'dataclasses', 'inspect', 'qsimp.presentation', 'qsimp.finite_oracle', "
-        "'qsimp.poly') if m in sys.modules); "
-        "print(modules()); "
-        f"[qsimp.cli.main(['--input', {str(path)!r}, '--jobs', j]) for j in ('1', '2')]; "
-        "print(modules()); "
-        f"qsimp.cli.main(['--input', {str(r5)!r}, '--jobs', '1']); "
-        "print(modules())"
-    )
+    batches = {
+        "decide": ([*(job_line(command="decide", d=1, F=[[k]], G=[[3]]) for k in (2, 4, 5)),
+                    job_line(command="decide", d=2, F=[[2, 0], [0, 2]], G=[[1, 1], [0, 1]]),
+                    job_line(command="decide", d=2, F=[[1, 1], [0, 1]], G=[[1, 0], [0, 1]])],
+                   ["qsimp.simplicity"]),
+        "r5": ([job_line(command="decide", d=2, F=[[0, -3], [1, 0]], G=[[-4, 1], [-3, 0]])] * 2,
+               ["qsimp.chain", "qsimp.poly", "qsimp.simplicity"]),
+        "trace": ([job_line(command="trace", max_depth=4, **pair),
+                   job_line(command="trace", max_depth=2, d=1, F=[[2]], G=[[3]])],
+                  ["qsimp.chain", "qsimp.lattice"]),
+        "present": ([job_line(command="present", **pair)] * 2, ["qsimp.presentation"]),
+        "oracle": ([job_line(command="oracle", d=1, F=[[2]], G=[[3]], max_depth=6)] * 2,
+                   ["qsimp.finite_oracle"]),
+    }
+    outputs = {}
+    for kind, (lines, runs) in batches.items():
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START_PROBE, str(path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.splitlines()
+        n = len(lines)
+        assert len(out) == 2 * n + 3, kind
+        start, after_j2, after_j1 = (json.loads(out[i]) for i in (0, n + 1, 2 * n + 2))
+        assert start == {"registered": sorted(EAGER_MODULES + LAZY_MODULES),
+                         "executed": EAGER_MODULES, "stdlib": []}
+        for state in (after_j2, after_j1):
+            assert state == {**start, "executed": sorted(EAGER_MODULES + runs)}, kind
+        assert out[1:n + 1] == out[n + 2:2 * n + 2]
+        outputs[kind] = out[1:n + 1]
+    assert [json.loads(x)["rules"][0][:2] for x in outputs["decide"]] == [
+        "R4", "R4", "R4", "R3", "R1"]
+    assert all('"status":"Simple","rules":["R5-density"]' in x for x in outputs["r5"])
+
+
+def test_package_exports_resolve_to_their_submodules():
+    # the 61 names of the package namespace: the seven submodules it had
+    # before they became lazy, and the names each re-exports
+    exports = {
+        "chain": ["ChainTrace", "DensityVerdict", "annihilator_step_pos", "compute_chain",
+                  "decide_density", "step_pos"],
+        "errors": ["ConsistencyError", "DimensionMismatch", "NonPositiveDiagonal",
+                   "NotTriangular", "ParseError", "QsimpError", "SingularMatrix",
+                   "UnsupportedFormat"],
+        "finite_oracle": ["FiniteQuiver", "GapResult", "MinimalityReport",
+                          "condition_L_finite", "density_1d", "gamma0_finite",
+                          "minimal_finite", "verify_minimality_theorem"],
+        "intmat": ["IntMatrix", "SmithDecomposition", "adjugate", "det", "snf",
+                   "unimodular_inverse"],
+        "lattice": ["IntegerSublattice", "RationalLattice", "contains", "dual_annihilator",
+                    "dual_lattice", "from_rational_rows", "index", "join", "preimage",
+                    "pushforward", "standard", "sublattice_contains",
+                    "sublattice_from_rows", "sublattice_index", "sublattice_transform"],
+        "presentation": ["Presentation", "index_set", "present", "render"],
+        "simplicity": ["Hypotheses", "SimplicityVerdict", "check_hypotheses", "decide",
+                       "is_dilation", "normalize", "triangular_criterion"],
+    }
+    import qsimp
+
+    names = [*exports, *(name for members in exports.values() for name in members)]
+    assert len(names) == 61
+    assert sorted(qsimp.__all__) == sorted(names)
+    assert set(names) <= set(dir(qsimp))
+    for module, members in exports.items():
+        home = sys.modules[f"qsimp.{module}"]
+        assert getattr(qsimp, module) is home
+        for name in members:
+            assert getattr(qsimp, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        qsimp.no_such_name
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c",
+         "from qsimp import *; "
+         "print(sorted(n for n in dir() if not n.startswith('_'))); "
+         "print(decide(IntMatrix([[2]]), IntMatrix([[3]])).status)"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    out = proc.stdout.splitlines()
-    assert len(out) == 18
-    assert '"status":"Simple","rules":["R5-density"]' in out[16]
-    assert out[0] == out[15] == "['qsimp.finite_oracle', 'qsimp.presentation']"
-    assert out[17] == "['qsimp.finite_oracle', 'qsimp.poly', 'qsimp.presentation']"
+    assert proc.stdout.splitlines() == [str(sorted(names)), "Simple"]
