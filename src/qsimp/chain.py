@@ -23,6 +23,15 @@ D |det G|, so each later level folds only r rows into the known
 triangular basis |det G| B. The pair's matrices are plain values that
 each public entry point computes and passes down; nothing is cached.
 
+The join J_k of the forward level N_1 / D_1 and the backward level
+N_2 / D_2 (canonical forms) is `lattice.join`. D_1 divides a power of
+|det G| and D_2 a power of |det F|, so when gcd(det F, det G) = 1 the
+denominators are coprime. Then, with D = D_1 D_2, D*J_k = D_2 N_1 + D_1 N_2
+is the intersection of N_1 and N_2, whose basis follows from the two
+level bases by the Chinese remainder theorem with no elimination, and
+the denominator of J_k is D, because it is a multiple of both D_1 and
+D_2. A join whose denominators share a prime is one fold.
+
 The annihilators A_k of the joins J_k of the forward and backward level k
 are built deepest first, by `lattice.dual_annihilators`. The joins
 ascend, so A_{k+1} lies in A_k, and A_{k+1} contains D_{k+1} Z^d for the

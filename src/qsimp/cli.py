@@ -39,8 +39,10 @@ EPSILON_DIGITS = 1000
 # integer-to-string conversion, which is an Internal error line, not a stall
 MAX_DEPTH = 1024
 
-# json.dumps(x, separators=...) builds this same encoder on every call
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+# json.dumps(x, separators=...) builds this same encoder on every call.
+# Every result is a freshly built acyclic dict, so the encoder skips the
+# circular-reference check, which only changes what a cycle would raise
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 class JobSpec(NamedTuple):

@@ -350,7 +350,18 @@ def hnf_rows(
                 rest.append(row[1:])
         h.append([0] * c + piv)
         live = rest
-    for c in range(dim):
+    return reduce_above_pivots(h)
+
+
+def reduce_above_pivots(h: list[list[int]]) -> IntMatrix:
+    """The row HNF of the lattice spanned by an upper-triangular basis with
+    positive pivots, given as a list of row lists that is reduced in place.
+
+    Column by column, each entry above a pivot goes into [0, pivot) by
+    subtracting a multiple of the pivot's row; that keeps the row lattice,
+    and later columns never touch an earlier one.
+    """
+    for c in range(len(h)):
         p = h[c][c]
         for i in range(c):
             q = h[i][c] // p

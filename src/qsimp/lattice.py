@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
-from .intmat import IntMatrix, det, det_adjugate, hnf_rows
+from .intmat import IntMatrix, det, det_adjugate, hnf_rows, reduce_above_pivots
 
 
 class RationalLattice(NamedTuple):
@@ -72,9 +72,26 @@ def from_rational_rows(
 
 
 def join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
-    """Smallest lattice containing both operands."""
+    """Smallest lattice containing both operands.
+
+    Write L_i = N_i / D_i in canonical form, with N_i = span(B_i). When
+    gcd(D_1, D_2) = 1 the join J needs no elimination. With D = D_1 D_2,
+    D_i Z^d <= N_i gives D*J = D_2 N_1 + D_1 N_2 = N_1 cap N_2: the sum
+    lies in both N_i, and 1 = a D_1 + b D_2 splits any vector of the
+    intersection into it. The denominator of J is D, because it is a
+    multiple of D_1 and of D_2. Row j of the basis of N_1 cap N_2 gets
+    the pivot p_1 p_2 of the two rows j, and right of it the entries x in
+    [0, D) with x = p_2 row_j(B_1) mod D_1 and x = p_1 row_j(B_2) mod D_2
+    (Chinese remainder theorem). That row lies in both N_i, and the
+    diagonal product is [Z^d : N_1 cap N_2], so reducing above the pivots
+    gives the canonical basis. When the denominators share a prime, the
+    rows of one basis are folded into the scaled basis of the other,
+    modulo the lcm of the denominators.
+    """
     if l1.dim != l2.dim:
         raise DimensionMismatch("join of lattices of different dimensions")
+    if math.gcd(l1.denom, l2.denom) == 1:
+        return _coprime_join(l1, l2)
     d = math.lcm(l1.denom, l2.denom)
     s1 = d // l1.denom
     s2 = d // l2.denom
@@ -82,6 +99,23 @@ def join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
     start = [[x * s1 for x in row] for row in l1.basis.rows]
     rows = [[x * s2 for x in row] for row in l2.basis.rows]
     return from_rational_rows(l1.dim, d, rows, start)
+
+
+def _coprime_join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
+    # join's canonical form by CRT, for coprime denominators D_1 and D_2
+    d1, d2 = l1.denom, l2.denom
+    u = pow(d1, -1, d2)
+    rows = []
+    for j, (r1, r2) in enumerate(zip(l1.basis.rows, l2.basis.rows)):
+        p1, p2 = r1[j], r2[j]
+        row = [0] * j + [p1 * p2]
+        for x, y in zip(r1[j + 1:], r2[j + 1:]):
+            # Garner's form of the entry in [0, D): a + D_1 t with
+            # a = p_2 x mod D_1 and t = (p_1 y - a) / D_1 mod D_2
+            a = p2 * x % d1
+            row.append(a + d1 * ((p1 * y - a) * u % d2))
+        rows.append(row)
+    return RationalLattice(l1.dim, d1 * d2, reduce_above_pivots(rows))
 
 
 def pushforward(f: IntMatrix, l: RationalLattice) -> RationalLattice:

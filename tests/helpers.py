@@ -4,11 +4,13 @@ call counter.
 The oracles here deliberately avoid the production code paths they check.
 """
 
+import math
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
 
+from qsimp import lattice
 from qsimp.intmat import IntMatrix
 
 
@@ -72,6 +74,14 @@ def lattice_points_oracle(denom, d, member):
 
     rec([])
     return pts
+
+
+def fold_join(a, b):
+    """The join of two rational lattices as one fold of both canonical
+    bases over the lcm of their denominators, by from_rational_rows."""
+    denom = math.lcm(a.denom, b.denom)
+    rows = [[x * (denom // l.denom) for x in row] for l in (a, b) for row in l.basis.rows]
+    return lattice.from_rational_rows(a.dim, denom, rows)
 
 
 def seeded(seed):

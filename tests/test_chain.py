@@ -1,10 +1,18 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from helpers import count_calls, count_passes, rand_nonsingular, rand_unimodular, seeded
+from helpers import (
+    count_calls,
+    count_passes,
+    fold_join,
+    rand_nonsingular,
+    rand_unimodular,
+    seeded,
+)
 from qsimp import chain, cli, intmat, lattice, poly
 from qsimp.chain import (
     DENSE,
@@ -187,15 +195,16 @@ def test_compute_chain_hnf_count(monkeypatch):
         return orig(dim, denom, int_rows, start)
 
     monkeypatch.setattr(lattice, "from_rational_rows", counted)
-    # det F = 5 and det G = 3 are prime, so each chain has one generator
+    # det F = 5 and det G = 3 are coprime primes, so each chain has one
+    # generator and every join is built by CRT, with no fold
     f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
     for n in (1, 5, 24):
         fresh.clear()
         folded.clear()
         compute_chain(f, g, n)
-        # two level folds, a join and an annihilator per level, and one
-        # annihilator at level 0
-        assert len(fresh) == 4 * n + 1
+        # two level folds and an annihilator per level, and one annihilator
+        # at level 0
+        assert len(fresh) == 3 * n + 1
         # only the two level-1 step_pos folds and the deepest annihilator
         # start from modulus * I; every other annihilator is folded into
         # the next deeper one
@@ -203,8 +212,18 @@ def test_compute_chain_hnf_count(monkeypatch):
         # per orientation, level 1 is step_pos's fold of the d rows of
         # Z^d's image and the d rows of adj(G)^T, and each later level
         # folds the one generator image; at depth 1 that is one fold per
-        # orientation. Each join then folds the d rows of a backward level
-        assert folded == ([4] + [1] * (n - 1)) * 2 + [2] * n
+        # orientation
+        assert folded == ([4] + [1] * (n - 1)) * 2
+    # det F = 3 and det G = 9 share the prime 3: G = 3I has r = d = 2
+    # generators, and each join folds the d rows of a backward level
+    f, g = IntMatrix([[1, 1], [-1, 2]]), IntMatrix.scalar(2, 3)
+    for n in (1, 5, 24):
+        fresh.clear()
+        folded.clear()
+        compute_chain(f, g, n)
+        assert len(fresh) == 4 * n + 1
+        assert sum(fresh) == 3
+        assert folded == [4] + [2] * (n - 1) + [4] + [1] * (n - 1) + [2] * n
     rng = seeded(61)
     for _ in range(40):
         d = rng.randint(1, 4)
@@ -217,6 +236,28 @@ def test_compute_chain_hnf_count(monkeypatch):
             r = sum(first.basis.rows[i][i] != first.denom for i in range(d))
             assert len(folded) == 6 and folded[0] == 2 * d
             assert max(folded[1:]) <= r
+
+
+def test_chain_joins_equal_the_fold_of_both_levels():
+    # seeded pairs at depth 48, whose level denominators reach hundreds of
+    # bits: coprime determinants give CRT joins, a shared prime folds
+    rng = seeded(67)
+    cases = {(d, coprime): 0 for d in (2, 3) for coprime in (True, False)}
+    bits = 0
+    while min(cases.values()) < 3:
+        d = rng.choice((2, 3))
+        f, g = rand_nonsingular(rng, d, -3, 3), rand_nonsingular(rng, d, -3, 3)
+        df, dg = abs(det(f)), abs(det(g))
+        if min(df, dg) < 2 or max(df, dg) > 12:
+            continue
+        coprime = math.gcd(df, dg) == 1
+        if cases[d, coprime] >= 3:
+            continue
+        cases[d, coprime] += 1
+        tr = compute_chain(f, g, 48)
+        assert tr.joins == list(map(fold_join, tr.pos, tr.neg))
+        bits = max(bits, tr.joins[-1].denom.bit_length())
+    assert bits > 200
 
 
 def test_annihilators_of_swapped_joins_raise():

@@ -1,9 +1,17 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import count_calls, count_passes, lattice_points_oracle, rand_nonsingular, seeded
+from helpers import (
+    count_calls,
+    count_passes,
+    fold_join,
+    lattice_points_oracle,
+    rand_nonsingular,
+    seeded,
+)
 from qsimp import intmat, lattice
 from qsimp.errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from qsimp.intmat import IntMatrix, det
@@ -223,14 +231,39 @@ def test_join_semilattice_laws():
         assert join(a, standard(d)) == a
 
 
-def test_join_equals_the_fold_of_both_bases():
+def _rows_lattice(rng, d, denom):
+    rows = [[rng.randrange(denom) for _ in range(d)] for _ in range(rng.randint(1, d))]
+    return from_rational_rows(d, denom, rows)
+
+
+def test_join_equals_the_fold_of_both_bases(monkeypatch):
     rng = seeded(37)
-    for _ in range(60):
+    pairs = [(rand_lattice(rng, d), rand_lattice(rng, d))
+             for d in (rng.randint(1, 4) for _ in range(60))]
+    # prime powers of about 40 bits
+    big = {p: p ** (40 // p.bit_length()) for p in (2, 3, 5, 7)}
+    for _ in range(25):
         d = rng.randint(1, 4)
-        a, b = rand_lattice(rng, d), rand_lattice(rng, d)
-        denom = math.lcm(a.denom, b.denom)
-        rows = [[x * (denom // l.denom) for x in row] for l in (a, b) for row in l.basis.rows]
-        assert join(a, b) == from_rational_rows(d, denom, rows) == join(b, a)
+        p, q = rng.sample(sorted(big), 2)
+        # coprime denominators, joined by CRT: 1 on either side, and two
+        # prime powers; then a shared prime p, which the join folds
+        for dens in ((1, big[p]), (big[q], 1), (big[p], rng.choice([q, q * q, big[q]])),
+                     (big[p], p * rng.choice([1, q, big[q]]))):
+            pairs.append(tuple(_rows_lattice(rng, d, x) for x in dens))
+    want = [fold_join(a, b) for a, b in pairs]
+    crt = count_calls(monkeypatch, (lattice,), "reduce_above_pivots")
+    folds = count_calls(monkeypatch, (lattice,), "hnf_rows")
+    taken = Counter()
+    for (a, b), w in zip(pairs, want):
+        before = crt["qsimp.lattice"], folds["qsimp.lattice"]
+        assert join(a, b) == w == join(b, a)
+        # each call takes the CRT path exactly when the denominators are
+        # coprime, and the fold path otherwise
+        coprime = math.gcd(a.denom, b.denom) == 1
+        path = crt["qsimp.lattice"] - before[0], folds["qsimp.lattice"] - before[1]
+        assert path == ((2, 0) if coprime else (0, 2))
+        taken["fold" if not coprime else "unimodular" if 1 in (a.denom, b.denom) else "crt"] += 1
+    assert min(taken[k] for k in ("fold", "unimodular", "crt")) >= 20, taken
 
 
 def test_lattice_is_z_d_plus_its_rows_below_the_denominator():
