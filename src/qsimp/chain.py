@@ -24,23 +24,32 @@ triangular basis |det G| B. The pair's matrices are plain values that
 each public entry point computes and passes down; nothing is cached.
 
 The join J_k of the forward level N_1 / D_1 and the backward level
-N_2 / D_2 (canonical forms) is `lattice.join`. D_1 divides a power of
-|det G| and D_2 a power of |det F|, so when gcd(det F, det G) = 1 the
-denominators are coprime. Then, with D = D_1 D_2, D*J_k = D_2 N_1 + D_1 N_2
-is the intersection of N_1 and N_2, whose basis follows from the two
-level bases by the Chinese remainder theorem with no elimination, and
+N_2 / D_2 (canonical forms) is built by `lattice.joins`. D_1 divides a
+power of |det G| and D_2 a power of |det F|, so when gcd(det F, det G) = 1
+the denominators are coprime. Then, with D = D_1 D_2, D*J_k = D_2 N_1 +
+D_1 N_2 is the intersection of N_1 and N_2, whose basis follows from the
+two level bases by the Chinese remainder theorem with no elimination, and
 the denominator of J_k is D, because it is a multiple of both D_1 and
-D_2. A join whose denominators share a prime is one fold.
+D_2. The CRT needs D_1^{-1} mod D_2, and from level 2 on it is carried
+from the level before. With e the denominator of level 1, e G^{-1} is
+integral, so each forward denominator divides the one before times e,
+and e divides every later one; the backward chain is the same with F.
+So D_1 grows by a factor s dividing |det G|, the next D_2 divides D_2
+squared, and one Newton step and a small inverse s^{-1} give the next
+inverse. A join whose denominators share a prime is one fold.
 
 The annihilators A_k of the joins J_k of the forward and backward level k
 are built deepest first, by `lattice.dual_annihilators`. The joins
-ascend, so A_{k+1} lies in A_k, and A_{k+1} contains D_{k+1} Z^d for the
-denominator D_{k+1} of J_{k+1}; A_k is therefore the fold of the d rows
-of D_k B_k^{-T} into the basis of A_{k+1}, modulo D_{k+1}. Only the
-deepest annihilator is an HNF that starts from D I; the small pivots of
-each deeper annihilator turn most steps of the next fold into one
-subtraction. Each fold is checked by [Z^d : A_k] = [J_k : Z^d], which
-holds exactly when the fold gave A_k.
+ascend, so A_{k+1} lies in A_k, and so does D_k Z^d for the denominator
+D_k of J_k; the reduction A_{k+1} + D_k Z^d, the HNF of the basis of
+A_{k+1} modulo D_k, is A_k whenever its index is [J_k : Z^d] and its rows
+pair integrally with J_k, which is checked. That holds exactly when J_k
+= J_{k+1} cap Z^d / D_k, so always when J_{k+1} / Z^d is cyclic. A level
+where it fails folds the d rows of D_k B_k^{-T}, by back-substitution,
+into the reduction, and [Z^d : A_k] = [J_k : Z^d] checks that fold. Only
+the deepest annihilator is computed from scratch. The index of each join
+is that of its annihilator, the product of its pivots; below the deepest
+level the two are checked equal.
 
 The density decision:
 
@@ -201,9 +210,10 @@ def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
     z = lattice.standard(f.dim)
     pos = [z, *_levels(_step(f, adj_g), dg, step_pos(f, g, z), depth)]
     neg = [z, *_levels(_step(g, adj_f), df, step_pos(g, f, z), depth)]
-    joins = [z, *map(lattice.join, pos[1:], neg[1:])]
-    return ChainTrace(depth, pos, neg, joins, lattice.dual_annihilators(joins),
-                      list(map(lattice.index, joins)))
+    joins = lattice.joins(pos, neg)
+    annihilators = lattice.dual_annihilators(joins)
+    return ChainTrace(depth, pos, neg, joins, annihilators,
+                      list(map(lattice.sublattice_index, annihilators)))
 
 
 def _obstruction_equations(

@@ -169,11 +169,12 @@ def parse_job(text: str, default_format: str = "json") -> JobSpec:
 
 
 def _lattice_dict(l) -> dict:
-    return {"denom": l.denom, "basis": [list(row) for row in l.basis.rows]}
+    # a basis goes out as its tuple of tuples, which JSON writes as arrays
+    return {"denom": l.denom, "basis": l.basis.rows}
 
 
 def _sublattice_dict(m) -> dict:
-    return {"basis": [list(row) for row in m.basis.rows]}
+    return {"basis": m.basis.rows}
 
 
 def _trace_dict(tr: chain.ChainTrace) -> dict:
@@ -275,8 +276,13 @@ def _to_text(result: dict, indent: int = 0) -> str:
             for item in value:
                 lines.append(_to_text(item, indent + 1))
         else:
-            lines.append(f"{pad}{key}: {value}")
+            lines.append(f"{pad}{key}: {_as_lists(value)}")
     return "\n".join(lines)
+
+
+def _as_lists(value):
+    # nested tuples print as the lists JSON makes of them
+    return [_as_lists(x) for x in value] if isinstance(value, tuple) else value
 
 
 def _run_line(args: tuple[str, str]) -> tuple[int, str]:

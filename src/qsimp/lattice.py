@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
@@ -86,12 +87,60 @@ def join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
     diagonal product is [Z^d : N_1 cap N_2], so reducing above the pivots
     gives the canonical basis. When the denominators share a prime, the
     rows of one basis are folded into the scaled basis of the other,
-    modulo the lcm of the denominators.
+    modulo the lcm of the denominators. This is `joins` of one pair.
     """
-    if l1.dim != l2.dim:
-        raise DimensionMismatch("join of lattices of different dimensions")
-    if math.gcd(l1.denom, l2.denom) == 1:
-        return _coprime_join(l1, l2)
+    return joins((l1,), (l2,))[0]
+
+
+def joins(ls1: Sequence[RationalLattice],
+          ls2: Sequence[RationalLattice]) -> list[RationalLattice]:
+    """join of each pair of two lists of equal length, meant for ascending
+    lists L_0 <= L_1 <= ... and L'_0 <= L'_1 <= ... such as two chains.
+
+    A coprime pair's CRT join needs u = D_1^{-1} mod D_2, and u is carried
+    from one pair to the next (`_carried_inverse`) rather than recomputed.
+    A coprime pair that the carry does not reach, such as the first, gets
+    a fresh inverse, and a pair whose denominators share a prime is
+    folded. Any lists give the pairwise joins; ascending ones are fast.
+    """
+    out = []
+    u = d1 = d2 = None
+    for l1, l2 in zip(ls1, ls2, strict=True):
+        if l1.dim != l2.dim:
+            raise DimensionMismatch("join of lattices of different dimensions")
+        n1, n2 = l1.denom, l2.denom
+        u = _carried_inverse(u, d1, d2, n1, n2)
+        if u is None and math.gcd(n1, n2) == 1:
+            u = pow(n1, -1, n2)
+        out.append(_fold_join(l1, l2) if u is None else _coprime_join(l1, l2, u))
+        d1, d2 = n1, n2
+    return out
+
+
+def _carried_inverse(u: Optional[int], d1: Optional[int], d2: Optional[int],
+                     n1: int, n2: int) -> Optional[int]:
+    """n1^{-1} mod n2 from u = d1^{-1} mod d2, or None when it does not
+    follow by the step below.
+
+    v = u (2 - d1 u) has d1 v = 1 mod d2^2 (a Newton step), so when n2
+    divides d2^2 and n1 = s d1 for an s prime to n2, v s^{-1} mod n2 is
+    the inverse, and n1 is prime to n2. Along a chain s divides the
+    determinant that builds it, so s^{-1} costs a few division steps where
+    a fresh inverse costs about one per bit. The result is checked.
+    """
+    if u is None or n1 % d1 or d2 * d2 % n2:
+        return None
+    s = n1 // d1
+    if math.gcd(s, n2) != 1:
+        return None
+    u = u * (2 - d1 * u) % n2 * pow(s, -1, n2) % n2
+    if n1 * u % n2 != 1 % n2:  # every u is the inverse modulo n2 = 1
+        raise ConsistencyError("a carried CRT inverse is not an inverse")
+    return u
+
+
+def _fold_join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
+    # join by one fold over the lcm of the denominators
     d = math.lcm(l1.denom, l2.denom)
     s1 = d // l1.denom
     s2 = d // l2.denom
@@ -101,10 +150,10 @@ def join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
     return from_rational_rows(l1.dim, d, rows, start)
 
 
-def _coprime_join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
+def _coprime_join(l1: RationalLattice, l2: RationalLattice, u: int) -> RationalLattice:
     # join's canonical form by CRT, for coprime denominators D_1 and D_2
+    # and u = D_1^{-1} mod D_2
     d1, d2 = l1.denom, l2.denom
-    u = pow(d1, -1, d2)
     rows = []
     for j, (r1, r2) in enumerate(zip(l1.basis.rows, l2.basis.rows)):
         p1, p2 = r1[j], r2[j]
@@ -218,28 +267,42 @@ def dual_annihilators(lattices: Sequence[RationalLattice]) -> list[IntegerSublat
     """dual_annihilator of each lattice of an ascending list L_0 <= L_1 <= ...
 
     Only the last one is computed from scratch; the others are built
-    deepest first. L_k <= L_{k+1} gives A_{k+1} <= A_k, and A_{k+1}
-    contains D_{k+1} * Z^d, so A_k is the HNF of the columns of D_k*B_k^{-1}
-    folded into the basis of A_{k+1} modulo D_{k+1}. The pivots of A_{k+1}
-    are small, so most fold steps are one subtraction rather than an
-    extended gcd of two numbers the size of D_k. The fold always contains A_k, and equals it
-    exactly when [Z^d : fold] = [L_k : Z^d]; that is checked, so a list
-    that is not ascending raises ConsistencyError.
+    deepest first, each from the next deeper one. L_k <= L_{k+1} gives
+    A_{k+1} <= A_k, and D_k Z^d <= A_k, so the reduction
+    C = A_{k+1} + D_k Z^d, the HNF of the basis of A_{k+1} modulo D_k,
+    lies in A_k. C is taken as A_k when [Z^d : C] = [L_k : Z^d] and every
+    basis row of C pairs integrally with L_k (B_k m = 0 mod D_k): the
+    second puts C inside A_k for any list, and the first makes them equal.
+    C = A_k exactly when L_k = L_{k+1} cap Z^d / D_k, which always holds
+    when L_{k+1} / Z^d is cyclic. Otherwise the columns of D_k B_k^{-1},
+    by back-substitution, are folded into C modulo D_k. The fold always
+    contains A_k and equals it exactly when [Z^d : fold] = [L_k : Z^d];
+    that is checked, so a list that is not ascending raises
+    ConsistencyError.
     """
     if not lattices:
         return []
     if any(l.dim != lattices[0].dim for l in lattices):
         raise DimensionMismatch("annihilators of lattices of different dimensions")
     out = [dual_annihilator(lattices[-1])]
-    for l, deeper in zip(lattices[-2::-1], lattices[:0:-1]):
-        rows = _scaled_inverse_columns(l.basis, l.denom)
-        basis = hnf_rows(rows, l.dim, deeper.denom, out[-1].basis.rows)
-        if _diagonal_product(basis) != index(l):
-            raise ConsistencyError("lattices are not ascending: an annihilator "
-                                   "fold is larger than the annihilator")
+    for l in lattices[-2::-1]:
+        n = index(l)
+        basis = hnf_rows(out[-1].basis.rows, l.dim, l.denom)
+        if _diagonal_product(basis) != n or not _pairs_integrally(basis, l):
+            rows = _scaled_inverse_columns(l.basis, l.denom)
+            basis = hnf_rows(rows, l.dim, l.denom, basis.rows)
+            if _diagonal_product(basis) != n:
+                raise ConsistencyError("lattices are not ascending: an annihilator "
+                                       "fold is larger than the annihilator")
         out.append(IntegerSublattice(l.dim, basis))
     out.reverse()
     return out
+
+
+def _pairs_integrally(m: IntMatrix, l: RationalLattice) -> bool:
+    # whether every row of m pairs integrally with L = span(B) / D
+    return not any(sum(map(mul, b, row)) % l.denom
+                   for row in m.rows for b in l.basis.rows)
 
 
 def dual_lattice(m: IntegerSublattice) -> RationalLattice:

@@ -195,34 +195,51 @@ def test_compute_chain_hnf_count(monkeypatch):
         return orig(dim, denom, int_rows, start)
 
     monkeypatch.setattr(lattice, "from_rational_rows", counted)
-    # det F = 5 and det G = 3 are coprime primes, so each chain has one
-    # generator and every join is built by CRT, with no fold
-    f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
-    for n in (1, 5, 24):
-        fresh.clear()
-        folded.clear()
-        compute_chain(f, g, n)
-        # two level folds and an annihilator per level, and one annihilator
-        # at level 0
-        assert len(fresh) == 3 * n + 1
-        # only the two level-1 step_pos folds and the deepest annihilator
-        # start from modulus * I; every other annihilator is folded into
-        # the next deeper one
-        assert sum(fresh) == 3
-        # per orientation, level 1 is step_pos's fold of the d rows of
-        # Z^d's image and the d rows of adj(G)^T, and each later level
-        # folds the one generator image; at depth 1 that is one fold per
-        # orientation
-        assert folded == ([4] + [1] * (n - 1)) * 2
+    back = count_calls(monkeypatch, (lattice,), "_scaled_inverse_columns")
+    # (F, G, generators of the forward and backward level 1 over Z^d,
+    # {depth n: back-substitutions}); the determinants are coprime, so
+    # every join is built by CRT, with no fold
+    cases = [
+        # det F = 4 and det G = 3: only the deepest annihilator is
+        # back-substituted; each other one is the reduction of the next
+        # deeper one
+        (IntMatrix([[2, 0], [1, 2]]), IntMatrix([[2, 1], [1, 2]]), (1, 2), {1: 1, 5: 1, 24: 1}),
+        # det F = 5 and det G = 3: the backward levels alternate between a
+        # cyclic quotient and (Z/5^j)^2, and below each of the latter the
+        # reduction is smaller than the annihilator, so every other level
+        # back-substitutes and folds
+        (IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]]), (1, 1), {1: 1, 5: 3, 24: 13}),
+    ]
+    for f, g, (r_pos, r_neg), subs in cases:
+        for n in (1, 5, 24):
+            fresh.clear()
+            folded.clear()
+            back.clear()
+            compute_chain(f, g, n)
+            assert back["qsimp.lattice"] == subs[n]
+            # two level folds and an annihilator per level, one annihilator
+            # at level 0, and a fold after each back-substitution but the
+            # deepest one
+            assert len(fresh) == 3 * n + subs[n]
+            # the two level-1 step_pos folds, the deepest annihilator and
+            # the n reductions start from modulus * I
+            assert sum(fresh) == n + 3
+            # per orientation, level 1 is step_pos's fold of the d rows of
+            # Z^d's image and the d rows of adj(G)^T, and each later level
+            # folds the r generator images; at depth 1 that is one fold per
+            # orientation
+            assert folded == [4] + [r_pos] * (n - 1) + [4] + [r_neg] * (n - 1)
     # det F = 3 and det G = 9 share the prime 3: G = 3I has r = d = 2
     # generators, and each join folds the d rows of a backward level
     f, g = IntMatrix([[1, 1], [-1, 2]]), IntMatrix.scalar(2, 3)
-    for n in (1, 5, 24):
+    for n, subs in ((1, 1), (5, 3), (24, 12)):
         fresh.clear()
         folded.clear()
+        back.clear()
         compute_chain(f, g, n)
-        assert len(fresh) == 4 * n + 1
-        assert sum(fresh) == 3
+        assert back["qsimp.lattice"] == subs
+        assert len(fresh) == 4 * n + subs
+        assert sum(fresh) == n + 3
         assert folded == [4] + [2] * (n - 1) + [4] + [1] * (n - 1) + [2] * n
     rng = seeded(61)
     for _ in range(40):
@@ -270,6 +287,71 @@ def test_annihilators_of_swapped_joins_raise():
         joins[i], joins[i + 1] = joins[i + 1], joins[i]
         with pytest.raises(ConsistencyError):
             lattice.dual_annihilators(joins)
+
+
+def test_annihilators_reduce_from_the_next_deeper_one(monkeypatch):
+    # seeded chains at depth 24: random pairs with coprime or shared-prime
+    # determinants, and G = 2I and 3I in either orientation. Every
+    # annihilator equals the one computed from scratch, and both the
+    # accepted reduction and the back-substitution and fold are taken
+    rng = seeded(79)
+    pairs = []
+    while len(pairs) < 24:
+        d = rng.choice((2, 3))
+        f, g = rand_nonsingular(rng, d, -3, 3), rand_nonsingular(rng, d, -3, 3)
+        if min(abs(det(f)), abs(det(g))) > 1:
+            pairs.append((f, g))
+    for c in (2, 3):
+        for d in (2, 3):
+            f = rand_nonsingular(rng, d, -3, 3)
+            pairs += [(f, IntMatrix.scalar(d, c)), (IntMatrix.scalar(d, c), f)]
+    back = count_calls(monkeypatch, (lattice,), "_scaled_inverse_columns")
+    taken = {"reduced": 0, "folded": 0, "shared": 0, "scalar": 0}
+    for f, g in pairs:
+        joins = compute_chain(f, g, 24).joins
+        back.clear()
+        got = lattice.dual_annihilators(joins)
+        # the deepest annihilator and one per level whose reduction is refused
+        folds = back["qsimp.lattice"] - 1
+        assert got == [dual_annihilator(l) for l in joins]
+        taken["reduced"] += 24 - folds
+        taken["folded"] += folds
+        if math.gcd(det(f), det(g)) > 1 and folds:
+            taken["shared"] += 1
+        if (f.is_diagonal() or g.is_diagonal()) and 0 < folds < 24:
+            taken["scalar"] += 1
+    assert min(taken.values()) >= 4, taken
+
+
+def test_chain_joins_carry_the_crt_inverse(monkeypatch):
+    # the list form equals pairwise join: on chains whose denominators
+    # stay put for a level (D_1 or D_2 unchanged), on chains with a
+    # unimodular side (a denominator of 1 at every level), and on the
+    # det-4/3 and det-5/3 pairs. Past level 1 no coprime join takes a
+    # fresh inverse
+    cases = [
+        ([[-3, -1, 0], [-2, -2, -1], [-3, -1, -1]], [[3, 1, 1], [-3, 1, 2], [2, -1, -3]]),
+        ([[-1, 0, -1], [-2, 0, -3], [-3, 2, 1]], [[0, -2, -1], [-3, 3, -2], [3, 0, -3]]),
+        ([[-3, 0, 2], [0, -3, -3], [3, -3, -2]], [[1, 2, 3], [-3, 2, -2], [-1, 2, 0]]),
+        ([[2, 1], [1, 3]], [[1, 1], [1, 2]]),
+        ([[1, 1], [1, 2]], [[2, 1], [1, 3]]),
+        ([[2, 0], [1, 2]], [[2, 1], [1, 2]]),
+        ([[2, 1], [1, 3]], [[3, 0], [1, 1]]),
+    ]
+    carried = []
+
+    def carry(*args, orig=lattice._carried_inverse):
+        u = orig(*args)
+        carried.append(u is not None)
+        return u
+
+    monkeypatch.setattr(lattice, "_carried_inverse", carry)
+    for f, g in cases:
+        tr = compute_chain(IntMatrix(f), IntMatrix(g), 48)
+        carried.clear()
+        got = lattice.joins(tr.pos, tr.neg)
+        assert len(carried) == 49 and all(carried[2:]), carried
+        assert got == list(map(join, tr.pos, tr.neg))
 
 
 def test_levels_check_the_generator_images(monkeypatch):
@@ -747,3 +829,25 @@ def test_trace_output_pinned(f, g, digests):
         code, out = cli.run(cli.parse_job(json.dumps(doc)))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the `"output":"text"` trace line of cli.run, recorded before
+# the trace dict passed its bases as tuples: det F = 4 and det G = 3 at
+# depth 96 (CRT joins with the inverse carried modulo 4^k), and G = 3I at
+# depth 48 (folded joins)
+TEXT_TRACE_DIGESTS = [
+    ([[2, 0], [1, 2]], [[2, 1], [1, 2]], 96,
+     "7bec16108dd4f630cda6a083392d383a1ebe849079ec8f92665140efe78d46d1"),
+    ([[1, 1], [-1, 2]], [[3, 0], [0, 3]], 48,
+     "760aeb1216d36d3417c8f6ae11fef37f4541d3cd8ff57dd699e6803b4dbf3507"),
+]
+
+
+@pytest.mark.parametrize("f, g, depth, digest", TEXT_TRACE_DIGESTS, ids=["crt", "fold"])
+def test_text_trace_output_pinned(f, g, depth, digest):
+    doc = {"command": "trace", "d": len(f), "F": f, "G": g, "max_depth": depth,
+           "output": "text"}
+    code, out = cli.run(cli.parse_job(json.dumps(doc)))
+    assert code == 0
+    assert "    basis: [[1, 0], [0, 1]]" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -194,6 +194,14 @@ def test_dual_annihilators_of_ascending_lattices():
     # the fold of HALF's annihilator 2Z into THIRD's 3Z is Z, not 2Z
     with pytest.raises(ConsistencyError):
         dual_annihilators([THIRD, HALF])
+    # the halves of two axes: the reduction of the second's annihilator
+    # {m : m_2 even} modulo 2 is itself, with the index 2 of the first's
+    # annihilator {m : m_1 even}, but it does not pair integrally with the
+    # first
+    x_half = from_rational_rows(2, 2, [[1, 0]])
+    y_half = from_rational_rows(2, 2, [[0, 1]])
+    with pytest.raises(ConsistencyError):
+        dual_annihilators([x_half, y_half])
     with pytest.raises(DimensionMismatch):
         dual_annihilators([Z1, Z2])
 
@@ -264,6 +272,40 @@ def test_join_equals_the_fold_of_both_bases(monkeypatch):
         assert path == ((2, 0) if coprime else (0, 2))
         taken["fold" if not coprime else "unimodular" if 1 in (a.denom, b.denom) else "crt"] += 1
     assert min(taken[k] for k in ("fold", "unimodular", "crt")) >= 20, taken
+
+
+def test_joins_equal_pairwise_join_across_shared_primes(monkeypatch):
+    # lists whose pairs switch between coprime and shared-prime
+    # denominators: the list form equals pairwise join, and a pair is
+    # joined with a carried inverse, with a fresh one, or by the fold
+    rng = seeded(83)
+    carried = []
+
+    def carry(*args, orig=lattice._carried_inverse):
+        u = orig(*args)
+        carried.append(u is not None)
+        return u
+
+    monkeypatch.setattr(lattice, "_carried_inverse", carry)
+    folds = count_calls(monkeypatch, (lattice,), "_fold_join")
+    taken = Counter()
+    for _ in range(30):
+        d = rng.randint(1, 4)
+        ls1 = [_rows_lattice(rng, d, 2**k * rng.choice((1, 1, 5))) for k in range(12)]
+        ls2 = [_rows_lattice(rng, d, 3**k * rng.choice((1, 1, 1, 2))) for k in range(12)]
+        carried.clear()
+        folds.clear()
+        got = lattice.joins(ls1, ls2)
+        taken["carried"] += sum(carried)
+        taken["folded"] += folds["qsimp.lattice"]
+        taken["fresh"] += 12 - sum(carried) - folds["qsimp.lattice"]
+        assert got == [join(a, b) for a, b in zip(ls1, ls2)]
+    assert min(taken.values()) >= 40, taken
+    assert lattice.joins([], []) == []
+    with pytest.raises(DimensionMismatch):
+        lattice.joins([Z1], [Z2])
+    with pytest.raises(ValueError):
+        lattice.joins([Z1, HALF], [Z1])
 
 
 def test_lattice_is_z_d_plus_its_rows_below_the_denominator():
