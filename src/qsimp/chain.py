@@ -63,10 +63,11 @@ The density decision:
   dense exactly when the two obstruction spaces meet only in 0; otherwise
   a scaled vector of the intersection is a witness character lying in
   every annihilator;
-* the backward D' = (G F^{-1})^T is D^{-1}, so the backward side's
-  a' = det F D' is det G det F a^{-1}, and its factors are the reciprocals
-  of the forward side's. `decide_density` factors the forward side alone
-  and maps that list; it builds the backward side only when the forward
+* D's characteristic polynomial is P / det G for the pencil polynomial
+  P(x) = det(xG - F), and the backward pencil det(xF - G) is
+  (-1)^d x^d P(1/x), so its primitive factors are those of P with their
+  coefficients reversed. `decide_density` factors P alone and reverses
+  that list; it builds the backward side only when the forward
   obstruction space is not 0.
 
 `lattice` and `poly` are lazy submodules (see the package docstring),
@@ -221,42 +222,33 @@ def _obstruction_equations(
 ) -> Optional[IntMatrix]:
     """N whose kernel is the chain's obstruction space, or None if it is 0.
 
-    `factors` is the factor list [(p, multiplicity), ...] of the
-    characteristic polynomial of a = c D. A factor
-    x^k + a_1 x^(k-1) + ... + a_k of it is c^k times a factor of that of D,
-    which is monic over Z exactly when c^i divides every a_i. With M the
-    product of those factors of a, raised to their multiplicities and
-    evaluated at a, the space is G^T ker M = ker M adj(G)^T.
+    `factors` is the factor list [(q, multiplicity), ...] of the pencil
+    polynomial c chi_D. By Gauss's lemma a primitive factor q of degree k
+    divides chi_D as a polynomial monic over Z exactly when |q[0]| = 1, and
+    then q[0] c^k q(x / c), with the coefficients q[0] q_i c^i, is the
+    matching monic factor of the characteristic polynomial of a = c D.
+    With M the product of those factors, raised to their multiplicities
+    and evaluated at a, the space is G^T ker M = ker M adj(G)^T.
     """
     m = None
-    for p, mult in factors:
-        if all(x % side.c**i == 0 for i, x in enumerate(p)):
-            pa = evaluate(p, side.a)
+    for q, mult in factors:
+        if abs(q[0]) == 1:
+            pa = evaluate([q[0] * x * side.c**i for i, x in enumerate(q)], side.a)
             for _ in range(mult):
                 m = pa if m is None else m @ pa
     return None if m is None else m @ side.adj_t
 
 
-def _reciprocals(factors: list[tuple[list[int], int]], n: int) -> list[tuple[list[int], int]]:
-    """The factor list of the backward side's characteristic polynomial
-    from that of the forward side, with n = det G det F.
-
-    The backward a' = det F D^{-1} = n a^{-1}, so each root r of chi_a
-    gives the root n / r of chi_a', and a factor p of degree k maps to
-    x^k p(n / x), made primitive with a positive leading coefficient. That
-    map keeps irreducibility and multiplicities, and by Gauss's lemma the
-    primitive images multiply to the monic chi_a' only if each is monic.
-    chi_a(0) = +-det a is not 0, so no factor is x.
-    """
-    out = []
-    for p, mult in factors:
-        if not p[-1]:
-            raise ConsistencyError("a chain side's characteristic polynomial "
-                                   "has the factor x")
-        q = poly.primitive([x * n**i for i, x in enumerate(reversed(p))])
-        if q[0] != 1:
-            raise ConsistencyError("a reciprocal factor is not monic")
-        out.append((q, mult))
+def _pencil(side: _Side) -> list[int]:
+    """The pencil polynomial P(x) = det(xG - F) = c chi_D of a side: a = c D
+    has the characteristic polynomial c^(d-1) P(x / c), so P_0 = c and
+    P_i = a_i / c^(i-1), a division that is checked."""
+    out = [side.c]
+    for i, x in enumerate(charpoly(side.a)[1:]):
+        q, r = divmod(x, side.c**i)
+        if r:
+            raise ConsistencyError("a characteristic polynomial is not a scaled pencil")
+        out.append(q)
     return out
 
 
@@ -318,10 +310,10 @@ def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
     """Decide whether the subgroup the two chains generate is dense.
 
     Dense when the forward and backward obstruction spaces meet only in 0.
-    Only the forward side's characteristic polynomial is computed and
+    Only the forward pencil polynomial det(xG - F) is computed and
     factored. When none of its factors is D-monic the forward space is 0
     and the answer is Dense; only otherwise is the backward side built,
-    with its factor list mapped from the forward one by `_reciprocals`.
+    with the reversed factors, those of det(xF - G).
     When the spaces share a line, v, the first row of the reduced echelon
     form of their intersection made primitive, is scaled by the lcm e of
     the denominators of D^j G^{-T} v and D'^j F^{-T} v for j < d, with
@@ -331,12 +323,12 @@ def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
     """
     (df, adj_f), (dg, adj_g) = _pair(f, g)
     forward = _side(f, dg, adj_g)
-    factors = poly.factor(charpoly(forward.a))[1]
+    factors = poly.factor(_pencil(forward))[1]
     n = _obstruction_equations(forward, factors)
     if n is None:
         return _NO_MONIC_FACTOR
     backward = _side(g, df, adj_f)
-    n_back = _obstruction_equations(backward, _reciprocals(factors, dg * df))
+    n_back = _obstruction_equations(backward, [(q[::-1], m) for q, m in factors])
     if n_back is None:
         return _NO_MONIC_FACTOR
     common = _kernel([*n.rows, *n_back.rows])

@@ -5,10 +5,10 @@ no leading zeros; [1, 0, -2] is x^2 - 2. `factor` is the classical
 Zassenhaus method (Zassenhaus, J. Number Theory 1, 1969): split off the
 repeated part, factor a squarefree image modulo a small prime with
 Cantor-Zassenhaus (Math. Comp. 36, 1981), Hensel-lift the modular factors
-and recombine them exhaustively. Integer roots are stripped first: each
+and recombine them exhaustively. Rational roots are stripped first: each
 candidate from a divisor search is tested by evaluation, and only a root
-costs a division. A monic remainder of degree at most 3 without integer
-roots is irreducible, so small inputs never reach the lifting.
+costs a division. A remainder of degree at most 3 without rational roots
+is irreducible, so small inputs never reach the lifting.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 from itertools import combinations
 from typing import Sequence
 
-# divisor candidates tried before leaving integer roots to the modular path
+# divisor candidates tried before leaving rational roots to the modular path
 _ROOT_SEARCH_LIMIT = 1 << 14
 
 
@@ -67,13 +67,13 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f with f(0) != 0."""
     out = []
     roots = _root_candidates(f)
-    for r in roots or ():
-        # x - r is monic, so it divides f over Z exactly when f(r) = 0
-        if not _value(f, r):
-            out.append([1, -r])
-            f = _divexact(f, [1, -r])
+    for s, r in roots or ():
+        # s x - r is primitive, so it divides f over Z exactly when f(r/s) = 0
+        if not _value(f, r, s):
+            out.append([s, -r])
+            f = _divexact(f, [s, -r])
     if len(f) > 1:
-        if len(f) == 2 or (roots is not None and f[0] == 1 and len(f) <= 4):
+        if len(f) == 2 or (roots is not None and len(f) <= 4):
             out.append(f)
         else:
             out.extend(_zassenhaus(f))
@@ -81,22 +81,28 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
 
 
 def _root_candidates(f: list[int]):
-    """Integers that include every root of f, or None when the divisor
-    search would be too long.
+    """Pairs (s, r) with s > 0 and gcd(s, r) = 1 such that every rational
+    root of f is some r / s, or None when the divisor search would be too
+    long.
 
-    A root divides f(0) and, by Cauchy's bound, has modulus at most
-    1 + max |a_i / a_0|; whichever range is shorter is searched.
+    A root r / s in lowest terms has s | f_0, the lead, and r | f(0), and by
+    Cauchy's bound it has modulus at most 1 + max |f_i / f_0|, so |r| |f_0|
+    <= s (|f_0| + max |f_i|). The divisors of f(0) are searched up to
+    whichever of that bound at s = |f_0| and sqrt |f(0)| is smaller.
     """
-    c0 = abs(f[-1])
-    bound = 1 + max(abs(x) for x in f[1:]) // abs(f[0])
-    small = math.isqrt(c0)
-    if min(bound, small) > _ROOT_SEARCH_LIMIT:
+    lead, c0 = abs(f[0]), abs(f[-1])
+    top = lead + max(abs(x) for x in f[1:])
+    if max(math.isqrt(lead), min(top, math.isqrt(c0))) > _ROOT_SEARCH_LIMIT:
         return None
-    cands = set()
-    for t in range(1, min(bound, small) + 1):
-        if c0 % t == 0:
-            cands.update((t, c0 // t))
-    return [r for t in sorted(cands) if t <= bound for r in (t, -t)]
+    nums = _divisors(c0, top)
+    return [(s, r) for s in _divisors(lead, lead) for t in nums
+            if t * lead <= s * top and math.gcd(s, t) == 1 for r in (t, -t)]
+
+
+def _divisors(n: int, bound: int) -> list[int]:
+    """The divisors of n > 0 up to bound, in increasing order."""
+    small = [t for t in range(1, min(bound, math.isqrt(n)) + 1) if n % t == 0]
+    return sorted({x for t in small for x in (t, n // t) if x <= bound})
 
 
 def _zassenhaus(f: list[int]) -> list[list[int]]:
@@ -254,11 +260,12 @@ def _derivative(a: list[int]) -> list[int]:
     return _strip([c * (n - i) for i, c in enumerate(a[:-1])])
 
 
-def _value(a: list[int], x: int) -> int:
-    """a(x) by Horner's rule."""
-    acc = 0
+def _value(a: list[int], r: int, s: int) -> int:
+    """s^n a(r / s) for n = deg a, by Horner's rule."""
+    acc, power = 0, 1
     for c in a:
-        acc = acc * x + c
+        acc = acc * r + c * power
+        power *= s
     return acc
 
 

@@ -578,54 +578,97 @@ def _factor_pairs():
     return pairs
 
 
-def _mapped_backward_factors(f, g):
-    """The backward side, and its factor list mapped from the forward one."""
+def _sides(f, g):
+    """The forward and backward density sides of (F, G)."""
     (df, adj_f), (dg, adj_g) = chain._pair(f, g)
-    forward = chain._side(f, dg, adj_g)
-    return (chain._side(g, df, adj_f),
-            chain._reciprocals(poly.factor(charpoly(forward.a))[1], dg * df))
+    return chain._side(f, dg, adj_g), chain._side(g, df, adj_f)
 
 
 def _multiset(factors):
     return sorted((tuple(p), mult) for p, mult in factors)
 
 
-def test_reciprocal_factors_match_the_backward_factorisation():
-    signs, repeated, dims = set(), 0, set()
+def _positive(factors):
+    """The factors with their signs flipped to a positive lead."""
+    return [([x if q[0] > 0 else -x for x in q], mult) for q, mult in factors]
+
+
+def test_pencil_factors_are_the_scaled_monic_factors_of_chi_a():
+    kept, dims = 0, set()
     for f, g in _factor_pairs():
-        backward, mapped = _mapped_backward_factors(f, g)
-        content, want = poly.factor(charpoly(backward.a))
-        assert content == 1
-        assert _multiset(mapped) == _multiset(want), (f, g)
-        # the obstruction equations are one matrix, whichever order the
-        # commuting factors come in
-        assert (chain._obstruction_equations(backward, mapped)
+        for side in _sides(f, g):
+            c = side.c
+            # the reference: the factors p of the characteristic polynomial
+            # of a = c D with c^i | p_i
+            want = [(p, mult) for p, mult in poly.factor(charpoly(side.a))[1]
+                    if all(x % c**i == 0 for i, x in enumerate(p))]
+            got = [([q[0] * x * c**i for i, x in enumerate(q)], mult)
+                   for q, mult in poly.factor(chain._pencil(side))[1] if abs(q[0]) == 1]
+            assert _multiset(got) == _multiset(want), (f, g)
+            kept += bool(want)
+        dims.add(f.dim)
+    assert 30 <= kept < 2 * len(_factor_pairs()) and dims == set(range(1, 9))
+
+
+def test_reversed_pencil_factors_give_the_backward_equations():
+    signs, repeated, leads = set(), 0, set()
+    for f, g in _factor_pairs():
+        forward, backward = _sides(f, g)
+        factors = poly.factor(chain._pencil(forward))[1]
+        # det(xG - F) has the constant term det(-F) != 0, so no factor is x
+        assert all(q[-1] for q, _ in factors)
+        reversed_ = [(q[::-1], mult) for q, mult in factors]
+        want = poly.factor(chain._pencil(backward))[1]
+        assert _multiset(_positive(reversed_)) == _multiset(want), (f, g)
+        # the obstruction equations are one matrix, whichever order and
+        # sign the commuting factors come in
+        assert (chain._obstruction_equations(backward, reversed_)
                 == chain._obstruction_equations(backward, want))
         signs.add(det(f) * det(g) > 0)
         repeated += any(mult > 1 for _, mult in want)
-        dims.add(f.dim)
-    assert signs == {True, False} and repeated >= 18 and dims == set(range(1, 9))
+        leads.update(q[0] for q, _ in reversed_)
+    assert signs == {True, False} and repeated >= 18 and {-1, 1} <= leads
 
 
-def test_reciprocal_factors_match_sympy():
+def test_pencil_factors_match_sympy():
     sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
     x = sympy.symbols("x")
+    ring = sympy.ZZ[x]
+
+    def pencil(f, g):
+        # det(xG - F) over Z[x], independently of charpoly and the division
+        m = x * sympy.Matrix([list(r) for r in g.rows]) - sympy.Matrix([list(r) for r in f.rows])
+        p = DomainMatrix.from_Matrix(m).convert_to(ring).det()
+        return [int(c) for c in sympy.Poly(ring.to_sympy(p), x).all_coeffs()]
+
+    def factors(p):
+        content, fs = sympy.factor_list(sympy.Poly(p, x))
+        return int(content), _multiset(([int(c) for c in q.all_coeffs()], m) for q, m in fs)
+
     for f, g in _factor_pairs()[::3]:
-        backward, mapped = _mapped_backward_factors(f, g)
-        content, want = sympy.factor_list(sympy.Poly(charpoly(backward.a), x))
-        assert content == 1
-        assert _multiset(mapped) == _multiset(
-            ([int(c) for c in p.all_coeffs()], mult) for p, mult in want), (f, g)
+        forward, backward = _sides(f, g)
+        p = chain._pencil(forward)
+        assert p == pencil(f, g) and chain._pencil(backward) == pencil(g, f)
+        content, got = poly.factor(p)
+        assert (content, _multiset(got)) == factors(p), (f, g)
+        reversed_ = _positive([(q[::-1], mult) for q, mult in got])
+        assert _multiset(reversed_) == factors(pencil(g, f))[1], (f, g)
 
 
-def test_reciprocals_reject_the_factor_x_and_non_monic_images():
-    # x + 2 has the root -2, so with n = -4 its image is x - 2
-    assert chain._reciprocals([([1, 2], 2)], -4) == [([1, -2], 2)]
+def test_pencil_division_rejects_a_perturbed_characteristic_polynomial(monkeypatch):
+    # det G = 2 and chi_a = x^2 + 4x + 4, so P_2 = 4 / 2; a perturbed
+    # 5 / 2 is not integral
+    f, g = IntMatrix([[-2, -2], [2, 1]]), IntMatrix([[2, 0], [-2, 1]])
+    forward, _ = _sides(f, g)
+    assert charpoly(forward.a) == [1, 4, 4] and chain._pencil(forward) == [2, 4, 2]
+    real = chain.charpoly
+    monkeypatch.setattr(chain, "charpoly", lambda m: [*real(m)[:-1], real(m)[-1] + 1])
     with pytest.raises(ConsistencyError):
-        chain._reciprocals([([1, 0], 1)], 6)
-    # the image of x + 2 for n = 3 is 2x + 3
+        chain._pencil(forward)
     with pytest.raises(ConsistencyError):
-        chain._reciprocals([([1, 2], 1)], 3)
+        decide_density(f, g)
 
 
 @pytest.mark.parametrize("f, g, status, sides", [
@@ -634,7 +677,7 @@ def test_reciprocals_reject_the_factor_x_and_non_monic_images():
     # G unimodular, so every forward factor is D-monic; none of the
     # backward side's is
     ([[0, 3], [-2, 0]], [[1, -3], [1, -2]], DENSE, 2),
-    # chi_a = (x + 2)^2, D-monic
+    # det(xG - F) = 2 (x + 1)^2, and x + 1 is D-monic on both sides
     ([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], NOT_DENSE, 2),
 ], ids=["forward-dense", "backward-dense", "not-dense"])
 def test_decide_density_factors_one_characteristic_polynomial(monkeypatch, f, g, status, sides):
@@ -660,7 +703,7 @@ def test_sides_build_only_the_products_their_callers_read(monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted)
     # a density side is a = adj(G)^T F^T alone, one product. The NotSimple
-    # pair, chi_a = (x + 2)^2, builds both sides, and each side's
+    # pair, det(xG - F) = 2 (x + 1)^2, builds both sides, and each side's
     # obstruction equations take two more: the square of its factor at a,
     # and that times adj(G)^T
     for f, g, n in (([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], 6),

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
-from helpers import rand_matrix, rand_unimodular, seeded
-from qsimp.intmat import IntMatrix, charpoly, unimodular_inverse
-from qsimp import poly
+from helpers import count_calls, rand_matrix, rand_nonsingular, rand_unimodular, seeded
+from qsimp.intmat import IntMatrix, charpoly, det, unimodular_inverse
+from qsimp import chain, poly
 from qsimp.poly import _factor_mod, _factor_squarefree, _mul, _root_candidates, factor
 
 
@@ -69,73 +71,110 @@ def test_factor_hand_cases():
     assert factor(_mul([1, -big], [1, 0, 1])) == want
 
 
-# 2^4 3^2 5 7 11 13; its divisors up to 60 are the roots below
+# 2^4 3^2 5 7 11 13; its divisors up to 60 are the root numerators below
 HIGHLY_COMPOSITE = 720720
 ROOTS = [t for t in range(1, 61) if HIGHLY_COMPOSITE % t == 0]
-# cofactors with no integer root; the first three keep the lead non-monic
-COFACTORS = [[2, 1], [3, -1], [2, 0, 3], [1], [1, 0, 1], [1, 1, 1]]
-# roots equal to 1 + max|a_i| // |a_0|, the last candidate the search keeps:
-# (x - 2)(2x + 1) and (x + 2)(3x - 1)
-AT_CAUCHY_BOUND = [([2, -3, -2], 2), ([3, 5, -2], -2)]
+# denominators of rational roots
+DENOMS = [1, 2, 3, 4, 9, 25]
+# cofactors with no rational root; the first two keep the lead non-monic
+COFACTORS = [[2, 0, 3], [3, 0, -2], [1], [1, 0, 1], [1, 1, 1]]
+# polynomials with their rational roots r / s as (s, r); the first root is
+# the last one of its denominator that the search keeps, (|r| + 1) |f_0| >
+# s (|f_0| + max |f_i|): (x - 2)(2x + 1), (x + 2)(3x - 1),
+# (2x - 3)(3x^2 + 2x + 1), (2x + 19)(3x^2 - 3x + 2), (3x + 17)(4x^2 - 3x + 1)
+AT_CAUCHY_BOUND = [([2, -3, -2], [(1, 2), (2, -1)]), ([3, 5, -2], [(1, -2), (3, 1)]),
+                   ([6, -5, -4, -3], [(2, 3)]), ([6, 51, -53, 38], [(2, -19)]),
+                   ([12, 59, -48, 17], [(3, -17)])]
 
 
-def linear_products(rng, repeats):
-    """Seeded products of x - r over 1..4 roots r, either sign, dividing
-    HIGHLY_COMPOSITE, times a cofactor; with `repeats` a root may recur."""
+def linear_products(rng, repeats, denoms=(1,)):
+    """Seeded products of s x - r over 1..4 roots r / s in lowest terms, r of
+    either sign dividing HIGHLY_COMPOSITE and s in `denoms`, times a
+    cofactor; with `repeats` a root may recur."""
     out = []
     for _ in range(40):
-        roots = [rng.choice((1, -1)) * rng.choice(ROOTS) for _ in range(rng.randint(1, 4))]
+        roots, n = [], rng.randint(1, 4)
+        while len(roots) < n:
+            s, r = rng.choice(denoms), rng.choice((1, -1)) * rng.choice(ROOTS)
+            if math.gcd(s, r) == 1:
+                roots.append((s, r))
         if repeats and rng.random() < 0.5:
             roots += roots[: rng.randint(1, 2)]
         if not repeats:
             roots = sorted(set(roots))
         f = rng.choice(COFACTORS)
-        for r in roots:
-            f = _mul(f, [1, -r])
+        for s, r in roots:
+            f = _mul(f, [s, -r])
         out.append((f, roots))
     return out
 
 
-def test_factor_root_products_match_sympy():
+def sympy_factor(f):
     sympy = pytest.importorskip("sympy")
-    x = sympy.symbols("x")
+    content, factors = sympy.factor_list(sympy.Poly(f, sympy.symbols("x")))
+    return int(content), sorted(([int(c) for c in p.all_coeffs()], m) for p, m in factors)
+
+
+def test_factor_root_products_match_sympy():
     rng = seeded(139)
     cases = [f for f, _ in linear_products(rng, repeats=True)]
     cases += [f for f, _ in AT_CAUCHY_BOUND]
     cases += [[6 * c for c in f] for f in cases[:5]]  # content and lead 6
     for f in cases:
-        content, factors = sympy.factor_list(sympy.Poly(f, x))
-        want = sorted(([int(c) for c in p.all_coeffs()], m) for p, m in factors)
         got = factor(f)
-        assert (got[0], sorted(got[1])) == (int(content), want), f
+        assert (got[0], sorted(got[1])) == sympy_factor(f), f
+
+
+def test_factor_rational_root_products_match_sympy():
+    rng = seeded(151)
+    cases = [f for f, _ in linear_products(rng, repeats=True, denoms=DENOMS)]
+    cases += [_mul(f, q) for f, _ in AT_CAUCHY_BOUND for q in ([5, 1], [1, 0, 7])]
+    assert sum(abs(f[0]) > 1 for f in cases) >= 30
+    for f in cases:
+        got = factor(f)
+        assert (got[0], sorted(got[1])) == sympy_factor(f), f
 
 
 def test_root_candidates_cost_no_division_unless_roots(monkeypatch):
     calls = []
 
     def counted(a, b, orig=poly._divexact):
-        if len(b) == 2 and b[0] == 1:  # not a Zassenhaus recombination
+        if len(b) == 2:
             calls.append(b)
         return orig(a, b)
 
     monkeypatch.setattr(poly, "_divexact", counted)
-    for f, r in AT_CAUCHY_BOUND:
-        assert abs(r) == 1 + max(abs(c) for c in f[1:]) // abs(f[0])
+    monkeypatch.setattr(poly, "_zassenhaus", None)  # no recombination runs
+    for f, ((s, r), *_) in AT_CAUCHY_BOUND:
+        lead, top = abs(f[0]), abs(f[0]) + max(abs(c) for c in f[1:])
+        assert abs(r) * lead <= s * top < (abs(r) + 1) * lead
     rng = seeded(149)
-    cases = linear_products(rng, repeats=False)
-    cases += [(f, [r]) for f, r in AT_CAUCHY_BOUND]
+    cases = linear_products(rng, repeats=False) + AT_CAUCHY_BOUND
+    cases += linear_products(rng, repeats=False, denoms=DENOMS)
     for f, roots in cases:
-        for r in roots:
-            assert poly._value(f, r) == 0
+        for s, r in roots:
+            assert poly._value(f, r, s) == 0
         candidates = _root_candidates(f)
         assert set(roots) < set(candidates)
         calls.clear()
         got = _factor_squarefree(f)
         # each root costs one exact division, every other candidate none
-        assert sorted(calls) == sorted([1, -r] for r in roots)
-        assert sorted(p for p in got if len(p) == 2 and p[0] == 1) == sorted(
-            [1, -r] for r in roots
-        )
+        assert sorted(calls) == sorted([s, -r] for s, r in roots)
+        assert sorted(p for p in got if len(p) == 2) == sorted([s, -r] for s, r in roots)
+
+
+def test_decide_density_on_small_pairs_runs_no_zassenhaus(monkeypatch):
+    # d <= 3: the pencil polynomial has degree at most 3, so stripping its
+    # rational roots leaves nothing or an irreducible remainder
+    calls = count_calls(monkeypatch, (poly,), "_zassenhaus")
+    rng = seeded(157)
+    leads = set()
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        f, g = rand_nonsingular(rng, d, -4, 4), rand_nonsingular(rng, d, -4, 4)
+        chain.decide_density(f, g)
+        leads.add(abs(det(g)))
+    assert not calls and max(leads) > 20
 
 
 def test_charpoly_matches_sympy():
