@@ -36,50 +36,36 @@ poly = _lazy("poly")
 presentation = _lazy("presentation")
 simplicity = _lazy("simplicity")
 
+# submodule -> the names the package re-exports from it
 _EXPORTS = {
-    chain: ("ChainTrace", "DensityVerdict", "annihilator_step_pos",
-            "compute_chain", "decide_density", "step_pos"),
-    errors: ("ConsistencyError", "DimensionMismatch", "NonPositiveDiagonal",
-             "NotTriangular", "ParseError", "QsimpError", "SingularMatrix",
-             "UnsupportedFormat"),
-    finite_oracle: ("FiniteQuiver", "GapResult", "MinimalityReport",
-                    "condition_L_finite", "density_1d", "gamma0_finite",
-                    "minimal_finite", "verify_minimality_theorem"),
-    intmat: ("IntMatrix", "SmithDecomposition", "adjugate", "det", "snf",
-             "unimodular_inverse"),
-    lattice: ("IntegerSublattice", "RationalLattice", "contains",
-              "dual_annihilator", "dual_lattice", "from_rational_rows", "index",
-              "join", "preimage", "pushforward", "standard",
-              "sublattice_contains", "sublattice_from_rows", "sublattice_index",
-              "sublattice_transform"),
-    presentation: ("Presentation", "index_set", "present", "render"),
-    simplicity: ("Hypotheses", "SimplicityVerdict", "check_hypotheses",
-                 "decide", "is_dilation", "normalize", "triangular_criterion"),
+    "chain": ("ChainTrace", "DensityVerdict", "annihilator_step_pos",
+              "compute_chain", "decide_density", "step_pos"),
+    "errors": ("ConsistencyError", "DimensionMismatch", "NonPositiveDiagonal",
+               "NotTriangular", "ParseError", "QsimpError", "SingularMatrix",
+               "UnsupportedFormat"),
+    "finite_oracle": ("FiniteQuiver", "GapResult", "MinimalityReport",
+                      "condition_L_finite", "density_1d", "gamma0_finite",
+                      "minimal_finite", "verify_minimality_theorem"),
+    "intmat": ("IntMatrix", "SmithDecomposition", "adjugate", "det", "snf",
+               "unimodular_inverse"),
+    "lattice": ("IntegerSublattice", "RationalLattice", "contains",
+                "dual_annihilator", "dual_lattice", "from_rational_rows", "index",
+                "join", "preimage", "pushforward", "standard",
+                "sublattice_contains", "sublattice_from_rows", "sublattice_index",
+                "sublattice_transform"),
+    "presentation": ("Presentation", "index_set", "present", "render"),
+    "simplicity": ("Hypotheses", "SimplicityVerdict", "check_hypotheses",
+                   "decide", "is_dilation", "normalize", "triangular_criterion"),
 }
-# name -> the module that defines it
+# name -> the submodule that defines it
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ChainTrace", "ConsistencyError", "DensityVerdict", "DimensionMismatch",
-    "FiniteQuiver", "GapResult", "Hypotheses", "IntMatrix", "IntegerSublattice",
-    "MinimalityReport", "NonPositiveDiagonal", "NotTriangular", "ParseError",
-    "Presentation", "QsimpError", "RationalLattice", "SimplicityVerdict",
-    "SingularMatrix", "SmithDecomposition", "UnsupportedFormat", "adjugate",
-    "annihilator_step_pos", "chain", "check_hypotheses", "compute_chain",
-    "condition_L_finite", "contains", "decide", "decide_density", "density_1d",
-    "det", "dual_annihilator", "dual_lattice", "errors", "finite_oracle",
-    "from_rational_rows", "gamma0_finite", "index", "index_set", "intmat",
-    "is_dilation", "join", "lattice", "minimal_finite", "normalize", "preimage",
-    "present", "presentation", "pushforward", "render", "simplicity", "snf",
-    "standard", "step_pos", "sublattice_contains", "sublattice_from_rows",
-    "sublattice_index", "sublattice_transform", "triangular_criterion",
-    "unimodular_inverse", "verify_minimality_theorem",
-]
+__all__ = sorted([*_EXPORTS, *_HOME])
 
 
 def __getattr__(name: str):
     try:
-        module = _HOME[name]
+        module = globals()[_HOME[name]]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     return getattr(module, name)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import chain, finite_oracle, presentation, simplicity
-from .errors import DimensionMismatch, InternalError, ParseError, QsimpError
+from .errors import DimensionMismatch, InternalError, OutputTooLarge, ParseError, QsimpError
 from .intmat import IntMatrix
 
 COMMANDS = ("decide", "trace", "present", "oracle", "sweep")
@@ -36,7 +36,7 @@ EPSILON_DIGITS = 1000
 # and at 1024 one d = 3 trace takes under a second and prints about 5 MB.
 # An oracle's gap has about max_depth * log10|F G| digits, so at this depth
 # entries such as F = 998, G = 999 still pass the 4300-digit limit of
-# integer-to-string conversion, which is an Internal error line, not a stall
+# integer-to-string conversion, which is an OutputTooLarge line, not a stall
 MAX_DEPTH = 1024
 
 # json.dumps(x, separators=...) builds this same encoder on every call.
@@ -184,7 +184,7 @@ def _trace_dict(tr: chain.ChainTrace) -> dict:
         "neg": [_lattice_dict(l) for l in tr.neg],
         "joins": [_lattice_dict(l) for l in tr.joins],
         "annihilators": [_sublattice_dict(m) for m in tr.annihilators],
-        "indices": list(tr.indices),
+        "indices": tr.indices,
     }
 
 
@@ -196,7 +196,7 @@ def _decide_result(job: JobSpec) -> tuple[int, dict]:
         rules = [rule for rule, _ in v.rules_fired]
     result = {"status": v.status, "rules": rules}
     if v.witness is not None:
-        result["witness"] = list(v.witness)
+        result["witness"] = v.witness
     result["hypotheses"] = v.hypotheses._asdict()
     result["kirchberg"] = v.kirchberg_flag
     code = EXIT_UNKNOWN if v.status == simplicity.UNKNOWN else EXIT_DEFINITE
@@ -207,7 +207,9 @@ def run(job: JobSpec) -> tuple[int, str]:
     """Execute one job; returns (exit code, serialized result).
 
     Any failure, in the job or in serializing its result, becomes one Error
-    line; an exception outside the package taxonomy is reported as Internal.
+    line. An integer past the interpreter's limit on integer-to-string
+    conversion is reported as OutputTooLarge, and any other exception
+    outside the package taxonomy as Internal.
     """
     try:
         if job.command == "decide":
@@ -253,8 +255,12 @@ def run(job: JobSpec) -> tuple[int, str]:
     except QsimpError as exc:
         return EXIT_ERROR, _serialize_error(exc, job.output)
     except Exception as exc:
-        internal = InternalError(f"{type(exc).__name__}: {exc}")
-        return EXIT_ERROR, _serialize_error(internal, job.output)
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            limit = sys.get_int_max_str_digits()
+            error = OutputTooLarge(f"the result has an integer of more than {limit} digits")
+        else:
+            error = InternalError(f"{type(exc).__name__}: {exc}")
+        return EXIT_ERROR, _serialize_error(error, job.output)
 
 
 def _serialize_error(exc: QsimpError, output: str) -> str:

@@ -49,6 +49,13 @@ class ConsistencyError(QsimpError):
     code = "ConsistencyError"
 
 
+class OutputTooLarge(QsimpError):
+    """A job's result holds an integer past the interpreter's limit on
+    integer-to-string conversion, so it cannot be printed."""
+
+    code = "OutputTooLarge"
+
+
 class InternalError(QsimpError):
     """A job failed with an exception outside this taxonomy; reported as an
     Error line so the rest of the batch still runs."""

@@ -38,7 +38,7 @@ def index_set(f_diag: Sequence[int]) -> list[tuple[int, ...]]:
     """Multi-indices nu with 0 <= nu_j <= a_j - 1, lexicographically ordered."""
     if any(a < 1 for a in f_diag):
         raise NonPositiveDiagonal("diagonal entries must be at least 1")
-    return [tuple(nu) for nu in product(*(range(a) for a in f_diag))]
+    return list(product(*(range(a) for a in f_diag)))
 
 
 def present(f: IntMatrix, g: IntMatrix, toeplitz: bool = False) -> Presentation:
@@ -68,7 +68,7 @@ def present(f: IntMatrix, g: IntMatrix, toeplitz: bool = False) -> Presentation:
             "replaced (F, G) by (D, U^{-1} G V^{-1})",
         )
     nus = tuple(index_set(diag))
-    g_rows = tuple(tuple(row) for row in g_norm.rows)
+    g_rows = g_norm.rows
     groups = [
         RelationGroup("orthogonality", ()),
         RelationGroup("monomial", nus),
@@ -90,49 +90,24 @@ def present(f: IntMatrix, g: IntMatrix, toeplitz: bool = False) -> Presentation:
 
 
 def to_dict(p: Presentation) -> dict:
-    return {
-        "dim": p.dim,
-        "diag": list(p.diag),
-        "index_set": [list(nu) for nu in p.index_set],
-        "g_rows": [list(row) for row in p.g_rows],
-        "relations": [
-            {"kind": gr.kind, "items": _items_to_jsonable(gr)} for gr in p.relations
-        ],
-        "toeplitz": p.toeplitz,
-        "transform": list(p.transform),
-        "unitary_note": p.unitary_note,
-    }
+    """`p` as a dict for the encoder; its tuples stay tuples, which JSON
+    writes as arrays."""
+    return {**p._asdict(), "relations": [gr._asdict() for gr in p.relations]}
 
 
-def _items_to_jsonable(gr: RelationGroup):
-    if gr.kind == "monomial":
-        return [list(nu) for nu in gr.items]
-    if gr.kind == "intertwine":
-        return [[j, a, list(row)] for j, a, row in gr.items]
-    return []
+def _tuples(value):
+    """A decoded JSON value with every array turned back into a tuple."""
+    if isinstance(value, list):
+        return tuple(map(_tuples, value))
+    if isinstance(value, dict):
+        return {key: _tuples(v) for key, v in value.items()}
+    return value
 
 
 def from_dict(data: dict) -> Presentation:
-    groups = []
-    for gr in data["relations"]:
-        kind = gr["kind"]
-        if kind == "monomial":
-            items = tuple(tuple(nu) for nu in gr["items"])
-        elif kind == "intertwine":
-            items = tuple((j, a, tuple(row)) for j, a, row in gr["items"])
-        else:
-            items = ()
-        groups.append(RelationGroup(kind, items))
-    return Presentation(
-        dim=data["dim"],
-        diag=tuple(data["diag"]),
-        index_set=tuple(tuple(nu) for nu in data["index_set"]),
-        g_rows=tuple(tuple(row) for row in data["g_rows"]),
-        relations=tuple(groups),
-        toeplitz=data["toeplitz"],
-        transform=tuple(data["transform"]),
-        unitary_note=data["unitary_note"],
-    )
+    fields = _tuples(data)
+    fields["relations"] = tuple(RelationGroup(**gr) for gr in fields["relations"])
+    return Presentation(**fields)
 
 
 def _u_symbol(j: int, dim: int) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import marshal
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import rand_matrix, seeded
+from helpers import rand_matrix, rand_nonsingular, seeded
 from qsimp import cli
 from qsimp.cli import main, parse_job, run
 from qsimp.errors import DimensionMismatch, ParseError
@@ -238,6 +239,39 @@ def test_present_output_pinned_non_diagonal():
         "  transform: ['factored F = U D V with D = diag[1, 6]', 'replaced (F, G) by (D, U^{-1} G V^{-1})']",
         "  unitary_note: commuting unitaries with full spectrum",
     ]
+
+
+# sha256 of the cli.run output of 48 seeded present lines, recorded while
+# to_dict still copied every tuple into a list: d = 1-3, Toeplitz on and
+# off, json and text, and for each a positive diagonal F and an F with a
+# negative entry (off the diagonal when d > 1), which goes through snf
+PRESENT_DIGEST = "4fa2daed4af7cbbec21502cfa47358381caf9834b94aad0d7b990d71bd7ae89d"
+
+
+def test_present_output_pinned_seeded():
+    rng = seeded(101)
+    outputs = []
+    for d in (1, 2, 3):
+        for toeplitz in (False, True):
+            for output in ("json", "text"):
+                for diagonal in (True, True, False, False):
+                    if diagonal:
+                        f = IntMatrix.diagonal([rng.randint(1, 3) for _ in range(d)])
+                    else:
+                        while True:
+                            f = rand_nonsingular(rng, d, -3, 3)
+                            if min(map(min, f.rows)) < 0 and (d == 1 or not f.is_diagonal()):
+                                break
+                    g = rand_nonsingular(rng, d, -4, 4)
+                    line = job_line(command="present", d=d, F=[list(r) for r in f.rows],
+                                    G=[list(r) for r in g.rows], toeplitz=toeplitz,
+                                    output=output)
+                    code, out = run(parse_job(line))
+                    assert code == 0
+                    assert ("factored F = U D V" in out) is not diagonal
+                    outputs.append(out)
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == PRESENT_DIGEST
 
 
 def test_run_oracle():
@@ -657,20 +691,51 @@ def test_unparseable_json_is_a_parse_error_line(tmp_path, capsys, jobs):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_unexpected_exception_is_an_internal_error_line(tmp_path, capsys, jobs):
-    # level-5 denominators of 10^5000 pass the digit limit of json.dumps
-    # and of str()
-    trace = '{"command":"trace","d":1,"F":[[2]],"G":[[1%s]],"max_depth":5%%s}' % ("0" * 1000)
-    lines = [trace % "", trace % ',"output":"text"',
-             job_line(command="decide", d=1, F=[[2]], G=[[3]])]
+def test_unexpected_exception_is_an_internal_error_line(tmp_path, capsys, monkeypatch, jobs):
+    def boom(f, g):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli.simplicity, "decide", boom)
+    decide = {"command": "decide", "d": 1, "F": [[2]], "G": [[3]]}
+    lines = [job_line(**decide), job_line(**decide, output="text"),
+             job_line(command="oracle", d=1, F=[[2]], G=[[3]], max_depth=6)]
     code, out = _main_on(tmp_path, capsys, lines, "--jobs", jobs)
     assert code == 1
     assert len(out) == 3
-    doc = json.loads(out[0])
-    assert (doc["status"], doc["error"]) == ("Error", "Internal")
-    assert doc["message"].startswith("ValueError: ")
-    assert out[1].startswith("error[Internal]: ValueError: ")
-    assert json.loads(out[2])["status"] == "Simple"
+    assert json.loads(out[0]) == {"status": "Error", "error": "Internal",
+                                  "message": "ValueError: boom"}
+    assert out[1] == "error[Internal]: ValueError: boom"
+    assert json.loads(out[2])["status"] == "dense_at_resolution"
+
+
+# each result holds an integer past the interpreter's 4300-digit limit of
+# integer-to-string conversion: the oracle's gap, the deep denominators of
+# two traces (10^5000 at level 5 of the second), and decide's det F, of
+# about 6000 digits, in its hypotheses
+BIG = 10**3000 + 7
+OVERFLOWS = [
+    {"command": "oracle", "d": 1, "F": [[998]], "G": [[999]], "max_depth": 1024},
+    {"command": "trace", "d": 1, "F": [[10**50 + 1]], "G": [[10**50 + 3]], "max_depth": 100},
+    {"command": "trace", "d": 1, "F": [[2]], "G": [[10**1000]], "max_depth": 5},
+    {"command": "decide", "d": 2, "F": [[BIG, 0], [0, BIG]], "G": [[3, 1], [0, 5]]},
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_result_past_the_digit_limit_is_an_output_too_large_line(tmp_path, capsys, jobs):
+    normal = job_line(command="decide", d=1, F=[[2]], G=[[3]])
+    lines = []
+    for doc in OVERFLOWS:
+        lines += [job_line(**doc), normal, job_line(**doc, output="text"), normal]
+    code, out = _main_on(tmp_path, capsys, lines, "--jobs", jobs)
+    assert code == 1
+    assert len(out) == len(lines)
+    message = "the result has an integer of more than 4300 digits"
+    for k in range(0, len(out), 4):
+        assert json.loads(out[k]) == {"status": "Error", "error": "OutputTooLarge",
+                                      "message": message}
+        assert out[k + 2] == f"error[OutputTooLarge]: {message}"
+        assert json.loads(out[k + 1])["status"] == json.loads(out[k + 3])["status"] == "Simple"
 
 
 def test_parse_error_follows_format_text(tmp_path, capsys):

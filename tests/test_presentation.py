@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from helpers import count_calls, seeded
+from helpers import count_calls, rand_nonsingular, seeded
 from qsimp import intmat, presentation
 from qsimp.errors import (
     DimensionMismatch,
@@ -82,6 +82,19 @@ def test_present_rejects_singular():
         present(IntMatrix([[0]]), IntMatrix([[1]]))
 
 
+def _assert_counts_and_roundtrip(p, f, toeplitz):
+    d = f.dim
+    assert len(p.index_set) == abs(det(f))
+    monomial = next(gr for gr in p.relations if gr.kind == "monomial")
+    intertwine = next(gr for gr in p.relations if gr.kind == "intertwine")
+    assert len(monomial.items) == len(p.index_set)
+    assert len(intertwine.items) == d
+    assert len(p.relations) == (3 if toeplitz else 4)
+    line = render(p, "json")
+    assert json.dumps(to_dict(p), separators=(",", ":")) == line
+    assert from_dict(json.loads(line)) == p
+
+
 def test_relation_counts_and_roundtrip():
     rng = seeded(83)
     for _ in range(30):
@@ -94,14 +107,19 @@ def test_relation_counts_and_roundtrip():
         if det(g) == 0:
             continue
         toeplitz = rng.random() < 0.5
+        _assert_counts_and_roundtrip(present(f, g, toeplitz=toeplitz), f, toeplitz)
+    # F with negative or off-diagonal entries goes through snf first
+    rng = seeded(84)
+    normalized = 0
+    for _ in range(30):
+        d = rng.randint(1, 3)
+        f = rand_nonsingular(rng, d, -3, 3)
+        g = rand_nonsingular(rng, d, -4, 4)
+        toeplitz = rng.random() < 0.5
         p = present(f, g, toeplitz=toeplitz)
-        assert len(p.index_set) == det(f)
-        monomial = next(gr for gr in p.relations if gr.kind == "monomial")
-        intertwine = next(gr for gr in p.relations if gr.kind == "intertwine")
-        assert len(monomial.items) == len(p.index_set)
-        assert len(intertwine.items) == d
-        assert len(p.relations) == (3 if toeplitz else 4)
-        assert from_dict(json.loads(render(p, "json"))) == p
+        normalized += len(p.transform) == 2
+        _assert_counts_and_roundtrip(p, f, toeplitz)
+    assert normalized >= 25
 
 
 def test_text_render_blocks():
