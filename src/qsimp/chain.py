@@ -55,20 +55,27 @@ The density decision:
 
 * a character m annihilates every forward level exactly when y = G^{-T} m
   is integral and D^k y stays integral for every k, where D = (F G^{-1})^T;
-* those y span the generalised eigenspaces of D for the irreducible factors
-  of its characteristic polynomial that are monic over Z (Gauss's lemma,
-  and Z[D] is a finitely generated Z-module on that subspace), so the
-  forward obstruction space is G^T times that sum;
-* the backward chain is the same with F and G swapped, and the subgroup is
-  dense exactly when the two obstruction spaces meet only in 0; otherwise
-  a scaled vector of the intersection is a witness character lying in
-  every annihilator;
+* those y span the primary components ker q(D)^m of D for the irreducible
+  factors q of its characteristic polynomial that are monic over Z
+  (Gauss's lemma, and Z[D] is a finitely generated Z-module on that
+  subspace), so the forward obstruction space is G^T times their sum;
 * D's characteristic polynomial is P / det G for the pencil polynomial
-  P(x) = det(xG - F), and the backward pencil det(xF - G) is
-  (-1)^d x^d P(1/x), so its primitive factors are those of P with their
-  coefficients reversed. `decide_density` factors P alone and reverses
-  that list; it builds the backward side only when the forward
-  obstruction space is not 0.
+  P(x) = det(xG - F), and a primitive factor q of P gives a monic one
+  exactly when |q[0]| = 1;
+* the backward chain's matrix is D' = (G F^{-1})^T = D^{-1}. Its pencil
+  det(xF - G) is (-1)^d x^d P(1/x), so its factors are those of P with
+  their coefficients reversed, with the same components ker q(D)^m, and
+  the reversed q is monic when |q[-1]| = 1. As F^T = G^T D and D maps
+  each component onto itself, the backward obstruction space is G^T times
+  the sum of the components with |q[-1]| = 1;
+* the components are independent, so the two spaces meet in G^T times the
+  sum over the factors that are units at both ends. The subgroup is dense
+  exactly when no irreducible factor of P has leading and constant
+  coefficients +-1, that is, when no eigenvalue of F G^{-1} is an
+  algebraic unit; otherwise a scaled vector of the meet is a witness
+  character lying in every annihilator. `decide_density` factors P alone,
+  tags each factor by its two ends, and builds an obstruction space, from
+  the factors that are units at both ends, only for a witness.
 
 `lattice` and `poly` are lazy submodules (see the package docstring),
 used here as module attributes: a trace runs `lattice` and never `poly`,
@@ -87,6 +94,7 @@ from .intmat import IntMatrix, charpoly, det_adjugate, evaluate
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
+_SINGULAR = "chain iteration needs nonsingular F and G"
 
 
 class ChainTrace(NamedTuple):
@@ -125,7 +133,7 @@ def _pair(f: IntMatrix, g: IntMatrix) -> tuple[tuple[int, IntMatrix], tuple[int,
         raise DimensionMismatch("F and G must have equal dimensions")
     (df, adj_f), (dg, adj_g) = det_adjugate(f), det_adjugate(g)
     if df == 0 or dg == 0:
-        raise SingularMatrix("chain iteration needs nonsingular F and G")
+        raise SingularMatrix(_SINGULAR)
     return (df, adj_f), (dg, adj_g)
 
 
@@ -228,7 +236,11 @@ def _obstruction_equations(
     then q[0] c^k q(x / c), with the coefficients q[0] q_i c^i, is the
     matching monic factor of the characteristic polynomial of a = c D.
     With M the product of those factors, raised to their multiplicities
-    and evaluated at a, the space is G^T ker M = ker M adj(G)^T.
+    and evaluated at a, the space is G^T ker M = ker M adj(G)^T. The
+    kernels ker q(D)^m of distinct factors are independent, so passing a
+    part of the factor list gives G^T times the sum of its components;
+    `decide_density` passes the factors that are units at both ends, whose
+    components make up the meet of the two chains' spaces.
     """
     m = None
     for q, mult in factors:
@@ -289,15 +301,15 @@ def _kernel(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def _orbit_denominator(side: _Side, v, steps: int) -> int:
-    """lcm of the denominators of D^j G^{-T} v for 0 <= j < steps."""
-    num, den, e = side.adj_t.apply(v), side.c, 1
+def _denominators(side: _Side, v, steps: int) -> list[int]:
+    """The denominators of D^j G^{-T} v for 0 <= j < steps."""
+    num, den, out = side.adj_t.apply(v), side.c, []
     for _ in range(steps):
         g = math.gcd(den, *num)
         num, den = [x // g for x in num], den // g
-        e = math.lcm(e, den)
+        out.append(den)
         num, den = side.a.apply(num), den * side.c
-    return e
+    return out
 
 
 _NO_MONIC_FACTOR = DensityVerdict(
@@ -310,41 +322,54 @@ def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
     """Decide whether the subgroup the two chains generate is dense.
 
     Dense when the forward and backward obstruction spaces meet only in 0.
-    Only the forward pencil polynomial det(xG - F) is computed and
-    factored. When none of its factors is D-monic the forward space is 0
-    and the answer is Dense; only otherwise is the backward side built,
-    with the reversed factors, those of det(xF - G).
-    When the spaces share a line, v, the first row of the reduced echelon
-    form of their intersection made primitive, is scaled by the lcm e of
-    the denominators of D^j G^{-T} v and D'^j F^{-T} v for j < d, with
-    D' = (G F^{-1})^T. On the obstruction space D satisfies a monic integer
-    polynomial of degree at most d (Cayley-Hamilton), so e v stays integral
-    at every step and lies in every annihilator; it is re-checked at step d.
+    With D = (F G^{-1})^T, the backward chain's matrix is D' = (G F^{-1})^T
+    = D^{-1}, and F^T = G^T D. The forward space is G^T times the sum of
+    the primary components ker q(D)^m over the factors q of the pencil
+    polynomial P(x) = det(xG - F) with |q[0]| = 1. The backward space is
+    F^T times the components of the reversed factors that are monic, those
+    with |q[-1]| = 1; D maps each component onto itself, so it is G^T times
+    the same components. The components are independent, so the spaces
+    meet in G^T times the sum over the factors that are units at both ends:
+    the pair is dense exactly when no irreducible factor of P has leading
+    and constant coefficients +-1, that is, when no eigenvalue of F G^{-1}
+    is an algebraic unit.
+
+    So only G's det and adjugate, the forward side and P's factor list are
+    needed to decide; P(0) = det(-F) checks F. Only a NotDense pair builds
+    more. Then v, the first row of the reduced echelon form of the meet
+    made primitive, is scaled by the lcm e of the denominators of
+    D^j G^{-T} v and D'^j F^{-T} v for j < d. On the meet D satisfies a
+    monic integer polynomial of degree at most d (Cayley-Hamilton), so
+    e v stays integral at every step and lies in every annihilator; the
+    same walk checks that the denominators at step d divide e.
     """
-    (df, adj_f), (dg, adj_g) = _pair(f, g)
+    if f.dim != g.dim:
+        raise DimensionMismatch("F and G must have equal dimensions")
+    dg, adj_g = det_adjugate(g)
+    if dg == 0:
+        raise SingularMatrix(_SINGULAR)
     forward = _side(f, dg, adj_g)
-    factors = poly.factor(_pencil(forward))[1]
-    n = _obstruction_equations(forward, factors)
-    if n is None:
+    pencil = _pencil(forward)
+    if pencil[-1] == 0:
+        raise SingularMatrix(_SINGULAR)
+    factors = poly.factor(pencil)[1]
+    ends = [(abs(q[0]) == 1, abs(q[-1]) == 1) for q, _ in factors]
+    if not any(lead for lead, _ in ends) or not any(const for _, const in ends):
         return _NO_MONIC_FACTOR
-    backward = _side(g, df, adj_f)
-    n_back = _obstruction_equations(backward, [(q[::-1], m) for q, m in factors])
-    if n_back is None:
-        return _NO_MONIC_FACTOR
-    common = _kernel([*n.rows, *n_back.rows])
-    if not common:
+    units = [qm for qm, (lead, const) in zip(factors, ends) if lead and const]
+    if not units:
         return DensityVerdict(
             DENSE, None, "the obstruction spaces of the two chains meet only "
             "in 0",
         )
-    sides = (forward, backward)
+    v = _echelon(_kernel(_obstruction_equations(forward, units).rows))[0]
+    df, adj_f = det_adjugate(f)
     d = f.dim
-    v = _echelon(common)[0]
-    e = math.lcm(*(_orbit_denominator(side, v, d) for side in sides))
-    witness = tuple(e * x for x in v)
-    if any(_orbit_denominator(side, witness, d + 1) != 1 for side in sides):
+    walks = [_denominators(side, v, d + 1) for side in (forward, _side(g, df, adj_f))]
+    e = math.lcm(*(den for walk in walks for den in walk[:-1]))
+    if any(e % walk[-1] for walk in walks):
         raise ConsistencyError("witness character leaves the integers")
     return DensityVerdict(
-        NOT_DENSE, witness, "the obstruction spaces of the two chains share "
-        "a line of characters that survive every level",
+        NOT_DENSE, tuple(e * x for x in v), "the obstruction spaces of the "
+        "two chains share a line of characters that survive every level",
     )

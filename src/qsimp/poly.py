@@ -1,14 +1,15 @@
 """Integer polynomials: factorisation over Z.
 
 A polynomial is a list of integer coefficients, highest degree first, with
-no leading zeros; [1, 0, -2] is x^2 - 2. `factor` is the classical
-Zassenhaus method (Zassenhaus, J. Number Theory 1, 1969): split off the
-repeated part, factor a squarefree image modulo a small prime with
-Cantor-Zassenhaus (Math. Comp. 36, 1981), Hensel-lift the modular factors
-and recombine them exhaustively. Rational roots are stripped first: each
-candidate from a divisor search is tested by evaluation, and only a root
-costs a division. A remainder of degree at most 3 without rational roots
-is irreducible, so small inputs never reach the lifting.
+no leading zeros; [1, 0, -2] is x^2 - 2. `factor` strips the rational roots
+first, each with its multiplicity: every candidate from a divisor search is
+tested by evaluation, and only a root costs a division. A remainder of
+degree at most 3 without rational roots is irreducible, so squarefree, and
+small inputs end there, with no gcd and no lifting. A larger remainder
+takes the classical Zassenhaus method (Zassenhaus, J. Number Theory 1,
+1969): split off the repeated part with gcd(f, f'), factor the squarefree
+part modulo a small prime with Cantor-Zassenhaus (Math. Comp. 36, 1981),
+Hensel-lift the modular factors and recombine them exhaustively.
 """
 
 from __future__ import annotations
@@ -40,11 +41,26 @@ def factor(f: Sequence[int]) -> tuple[int, list[tuple[list[int], int]]]:
     if zeros:
         out.append(([1, 0], zeros))
         f = f[: len(f) - zeros]
-    if len(f) > 1:
+    roots = _root_candidates(f) if len(f) > 1 else ()
+    for s, r in roots or ():
+        # s x - r is primitive, so it divides f over Z exactly when f(r/s) = 0;
+        # then s divides the lead and r the constant term of what is left
+        mult = 0
+        while f[0] % s == 0 and f[-1] % r == 0 and not _value(f, r, s):
+            f, mult = _divexact(f, [s, -r]), mult + 1
+        if mult:
+            out.append(([s, -r], mult))
+    # with no rational root left, a remainder of degree 2 or 3 is
+    # irreducible, and so squarefree
+    if roots is not None and len(f) <= 4:
+        if len(f) > 1:
+            out.append((f, 1))
+    else:
         # gcd(f, f') is the product of p^(mult - 1) over the factors p of f,
         # so a squarefree f makes no trial division for multiplicities
         repeated = _gcd(f, _derivative(f))
-        for p in _factor_squarefree(_divexact(f, repeated)):
+        f = _divexact(f, repeated)
+        for p in _zassenhaus(f) if roots is None or len(f) > 4 else [f]:
             mult = 1
             while (q := _divexact(repeated, p)) is not None:
                 repeated, mult = q, mult + 1
@@ -61,23 +77,6 @@ def primitive(v: list[int]) -> list[int]:
     if next(x for x in v if x) < 0:
         g = -g
     return [x // g for x in v]
-
-
-def _factor_squarefree(f: list[int]) -> list[list[int]]:
-    """Irreducible factors of a primitive squarefree f with f(0) != 0."""
-    out = []
-    roots = _root_candidates(f)
-    for s, r in roots or ():
-        # s x - r is primitive, so it divides f over Z exactly when f(r/s) = 0
-        if not _value(f, r, s):
-            out.append([s, -r])
-            f = _divexact(f, [s, -r])
-    if len(f) > 1:
-        if len(f) == 2 or (roots is not None and len(f) <= 4):
-            out.append(f)
-        else:
-            out.extend(_zassenhaus(f))
-    return out
 
 
 def _root_candidates(f: list[int]):
@@ -106,7 +105,7 @@ def _divisors(n: int, bound: int) -> list[int]:
 
 
 def _zassenhaus(f: list[int]) -> list[list[int]]:
-    """Irreducible factors of a primitive squarefree f of degree >= 2."""
+    """Irreducible factors of a primitive squarefree f of positive degree."""
     n = len(f) - 1
     lc = f[0]
     p, monic = _choose_prime(f)

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -160,13 +162,24 @@ def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
     passes = count_passes(monkeypatch, "det_adjugate")
     charpolys = count_passes(monkeypatch, "charpoly")
     dets = count_calls(monkeypatch, (intmat, chain, lattice), "det")
+    kernels = count_calls(monkeypatch, (chain,), "_kernel")
+    evaluations = count_calls(monkeypatch, (chain,), "evaluate")
     f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
-    decide_density(f, g)
-    # one Gauss-Jordan pass gives each matrix's det and adjugate, and no
-    # Bareiss det runs; the characteristic polynomials are the sides' only
-    assert passes == {f: 1, g: 1}
-    assert not dets
+    assert decide_density(f, g).status == DENSE
+    # a Dense pair is read off the factor list of det(xG - F): one
+    # Gauss-Jordan pass gives G's det and adjugate, F needs none, no Bareiss
+    # det runs, and no obstruction space is built; the characteristic
+    # polynomial is the forward side's only
+    assert passes == {g: 1}
+    assert not dets and not kernels and not evaluations
     assert charpolys and not charpolys.keys() & {f, g}
+    # a NotDense pair takes F's det and adjugate for the witness alone, and
+    # one kernel
+    passes.clear()
+    f, g = IntMatrix([[-2, -2], [2, 1]]), IntMatrix([[2, 0], [-2, 1]])
+    assert decide_density(f, g).status == NOT_DENSE
+    assert passes == {f: 1, g: 1}
+    assert not dets and kernels == {"qsimp.chain": 1}
 
 
 def test_compute_chain_adjugate_passes_do_not_grow_with_depth(monkeypatch):
@@ -541,14 +554,15 @@ def test_decide_density_needs_no_budget():
 
 
 def test_decide_density_rechecks_witness(monkeypatch):
-    # with the scaling e forced to 1 the unscaled witness (1,) of (2, 2)
-    # fails the integrality re-check
-    real = chain._orbit_denominator
+    # with the denominators below step d forced to 1, the scaling e is 1,
+    # and the unscaled witness (1,) of (2, 2), whose denominator at step d
+    # is 2, fails the integrality check
+    real = chain._denominators
 
     def unscaled(side, v, steps):
-        return 1 if steps == 1 else real(side, v, steps)
+        return [1] * (steps - 1) + real(side, v, steps)[-1:]
 
-    monkeypatch.setattr(chain, "_orbit_denominator", unscaled)
+    monkeypatch.setattr(chain, "_denominators", unscaled)
     with pytest.raises(ConsistencyError):
         decide_density(m1(2), m1(2))
 
@@ -630,18 +644,24 @@ def test_reversed_pencil_factors_give_the_backward_equations():
     assert signs == {True, False} and repeated >= 18 and {-1, 1} <= leads
 
 
-def test_pencil_factors_match_sympy():
-    sympy = pytest.importorskip("sympy")
+def _sympy_pencil(sympy, f, g):
+    """det(xG - F) over Z[x], by sympy, independently of charpoly and the
+    division."""
     from sympy.polys.matrices import DomainMatrix
 
     x = sympy.symbols("x")
     ring = sympy.ZZ[x]
+    m = x * sympy.Matrix([list(r) for r in g.rows]) - sympy.Matrix([list(r) for r in f.rows])
+    p = DomainMatrix.from_Matrix(m).convert_to(ring).det()
+    return [int(c) for c in sympy.Poly(ring.to_sympy(p), x).all_coeffs()]
+
+
+def test_pencil_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
 
     def pencil(f, g):
-        # det(xG - F) over Z[x], independently of charpoly and the division
-        m = x * sympy.Matrix([list(r) for r in g.rows]) - sympy.Matrix([list(r) for r in f.rows])
-        p = DomainMatrix.from_Matrix(m).convert_to(ring).det()
-        return [int(c) for c in sympy.Poly(ring.to_sympy(p), x).all_coeffs()]
+        return _sympy_pencil(sympy, f, g)
 
     def factors(p):
         content, fs = sympy.factor_list(sympy.Poly(p, x))
@@ -671,27 +691,128 @@ def test_pencil_division_rejects_a_perturbed_characteristic_polynomial(monkeypat
         decide_density(f, g)
 
 
-@pytest.mark.parametrize("f, g, status, sides", [
+NO_MONIC = ("no factor of a chain's characteristic polynomial is monic over Z, so no "
+            "character survives it")
+MEET_IN_0 = "the obstruction spaces of the two chains meet only in 0"
+SHARE_A_LINE = ("the obstruction spaces of the two chains share a line of characters "
+                "that survive every level")
+
+# (F, G) blocks for block sums. F G^-1 = [[2, 1], [1, 1]] and [[1, 1], [1, 0]]
+# have unit eigenvalues. [[0, 1], [2, 0]] has the eigenvalues +-sqrt 2,
+# algebraic integers that are not units: its pencil x^2 - 2 is monic at the
+# lead only, and that of the swapped block, 2x^2 - 1, at the constant only
+UNIT_BLOCKS = [([[2, 1], [1, 1]], [[1, 0], [0, 1]]), ([[1, 1], [1, 0]], [[1, 0], [0, 1]])]
+HALF_UNIT_BLOCKS = [([[0, 1], [2, 0]], [[1, 0], [0, 1]]), ([[1, 0], [0, 1]], [[0, 1], [2, 0]])]
+
+
+@functools.cache
+def _criterion_pairs():
+    """_factor_pairs and seeded block sums up to d = 7 of the blocks above
+    and of d = 1 blocks (f, g), 1 <= |f|, |g| <= 3, conjugated by a
+    unimodular W and, for every fourth, multiplied on the left by a
+    nonsingular X. A d = 1 block with |f| = |g| has a unit eigenvalue; one
+    in three sums has no unit block, and one in three many."""
+    rng = seeded(163)
+    pairs = _factor_pairs()
+    vals = [-3, -2, -1, 1, 2, 3]
+    for k in range(420):
+        blocks, d = [], 0
+        size, unit_share = rng.randint(1, 7), (0, 0.1, 0.4)[k % 3]
+        while d < size:
+            kind = rng.random()
+            if kind < unit_share:
+                if d + 2 <= size and rng.random() < 0.5:
+                    blocks.append(rng.choice(UNIT_BLOCKS))
+                else:
+                    f = rng.choice(vals)
+                    blocks.append(([[f]], [[rng.choice((f, -f))]]))
+            elif kind < 0.5 and d + 2 <= size:
+                blocks.append(rng.choice(HALF_UNIT_BLOCKS))
+            else:
+                f = rng.choice(vals)
+                blocks.append(([[f]], [[rng.choice([g for g in vals if abs(g) != abs(f)])]]))
+            d += len(blocks[-1][0])
+        f = _block_sum(*(IntMatrix(b) for b, _ in blocks))
+        g = _block_sum(*(IntMatrix(b) for _, b in blocks))
+        w = rand_unimodular(rng, d, steps=3)
+        w_inv = intmat.unimodular_inverse(w)
+        x = rand_nonsingular(rng, d, -2, 2) @ w if k % 4 == 0 else w
+        pairs.append((x @ f @ w_inv, x @ g @ w_inv))
+    return pairs
+
+
+def _reference_density(f, g):
+    """The two-space rule: each chain's obstruction space from the
+    equations of its own factor list, their meet the kernel of the stacked
+    rows, and the witness scaled with exact fractions by the lcm of the
+    denominators of D^j G^-T v and D'^j F^-T v for j < d."""
+    sides = _sides(f, g)
+    equations = [chain._obstruction_equations(side, poly.factor(chain._pencil(side))[1])
+                 for side in sides]
+    if None in equations:
+        return DENSE, None, NO_MONIC
+    common = chain._kernel([row for n in equations for row in n.rows])
+    if not common:
+        return DENSE, None, MEET_IN_0
+    v = chain._echelon(common)[0]
+    e = 1
+    for side in sides:
+        w = [Fraction(x, side.c) for x in side.adj_t.apply(v)]
+        for _ in range(f.dim):
+            e = math.lcm(e, *(x.denominator for x in w))
+            w = [sum(a * x for a, x in zip(row, w)) / side.c for row in side.a.rows]
+    return NOT_DENSE, tuple(e * x for x in v), SHARE_A_LINE
+
+
+def test_density_is_the_unit_factor_criterion():
+    # the pair is dense exactly when no factor of det(xG - F) has leading
+    # and constant coefficients +-1, which equals the parent rule of two
+    # obstruction spaces and the kernel of their stacked equations
+    reasons = Counter()
+    for f, g in _criterion_pairs():
+        v = decide_density(f, g)
+        assert (v.status, v.witness, v.reason) == _reference_density(f, g), (f, g)
+        reasons[v.reason] += 1
+    assert set(reasons) == {NO_MONIC, MEET_IN_0, SHARE_A_LINE}
+    assert min(reasons.values()) >= 100, reasons
+
+
+def test_density_is_the_unit_factor_criterion_by_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    statuses = set()
+    for f, g in _criterion_pairs()[::4]:
+        _, factors = sympy.factor_list(sympy.Poly(_sympy_pencil(sympy, f, g), x))
+        unit = any(abs(q.LC()) == 1 and abs(q.TC()) == 1 for q, _ in factors)
+        status = decide_density(f, g).status
+        assert status == (NOT_DENSE if unit else DENSE), (f, g)
+        statuses.add(status)
+    assert statuses == {DENSE, NOT_DENSE}
+
+
+@pytest.mark.parametrize("f, g, status, sides, reason", [
     # no factor of the forward side is D-monic
-    ([[-1, -2], [0, 2]], [[-3, -3], [3, 1]], DENSE, 1),
+    ([[-1, -2], [0, 2]], [[-3, -3], [3, 1]], DENSE, 1, NO_MONIC),
     # G unimodular, so every forward factor is D-monic; none of the
     # backward side's is
-    ([[0, 3], [-2, 0]], [[1, -3], [1, -2]], DENSE, 2),
+    ([[0, 3], [-2, 0]], [[1, -3], [1, -2]], DENSE, 1, NO_MONIC),
     # det(xG - F) = 2 (x + 1)^2, and x + 1 is D-monic on both sides
-    ([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], NOT_DENSE, 2),
-], ids=["forward-dense", "backward-dense", "not-dense"])
-def test_decide_density_factors_one_characteristic_polynomial(monkeypatch, f, g, status, sides):
+    ([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], NOT_DENSE, 2, SHARE_A_LINE),
+    # det(xG - F) = (x - 2)(3x - 1): x - 2 is D-monic forward and 3x - 1
+    # backward, and no factor is both
+    ([[2, 0], [0, 1]], [[1, 0], [0, 3]], DENSE, 1, MEET_IN_0),
+], ids=["forward-dense", "backward-dense", "not-dense", "meet-in-0"])
+def test_decide_density_factors_one_characteristic_polynomial(monkeypatch, f, g, status,
+                                                              sides, reason):
     charpolys = count_calls(monkeypatch, (chain,), "charpoly")
     factors = count_calls(monkeypatch, (poly,), "factor")
     built = count_calls(monkeypatch, (chain,), "_side")
     v = decide_density(IntMatrix(f), IntMatrix(g))
     assert v.status == status
     assert charpolys == {"qsimp.chain": 1} and factors == {"qsimp.poly": 1}
-    # the backward side is built only when the forward side has a D-monic
-    # factor
+    # the backward side is built only for the witness of a NotDense pair
     assert built == {"qsimp.chain": sides}
-    if status == DENSE:
-        assert v.reason.startswith("no factor of a chain's characteristic polynomial")
+    assert v.reason.startswith(reason)
 
 
 def test_sides_build_only_the_products_their_callers_read(monkeypatch):
@@ -703,10 +824,11 @@ def test_sides_build_only_the_products_their_callers_read(monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted)
     # a density side is a = adj(G)^T F^T alone, one product. The NotSimple
-    # pair, det(xG - F) = 2 (x + 1)^2, builds both sides, and each side's
-    # obstruction equations take two more: the square of its factor at a,
-    # and that times adj(G)^T
-    for f, g, n in (([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], 6),
+    # pair, det(xG - F) = 2 (x + 1)^2, builds the obstruction equations of
+    # the forward side alone, two more products: the square of its factor
+    # at a, and that times adj(G)^T; the backward side is built for the
+    # witness. A Dense pair builds the forward side only
+    for f, g, n in (([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], 4),
                     ([[-1, -2], [0, 2]], [[-3, -3], [3, 1]], 1)):
         products.clear()
         assert decide(IntMatrix(f), IntMatrix(g)).rules_fired[-1][0] == "R5-density"
@@ -807,6 +929,42 @@ def test_diagonal_pairs_match_closed_form():
         assert v.status == (DENSE if truly_dense else NOT_DENSE)
 
 
+def _closed_form_pairs(kind, seed, count):
+    """Seeded pairs built as a short-jobs benchmark line of rule R1 (two
+    unimodular matrices), R3 (T U against U for U unimodular and T
+    triangular with diagonal entries 2 to 4 in modulus) or R4 (n I against
+    a triangular G whose diagonal avoids |n|), in either orientation, for
+    d = 2..6."""
+    rng = seeded(seed)
+
+    def nonzero(lo, hi):
+        return rng.choice((-1, 1)) * rng.randint(lo, hi)
+
+    def triangular(diag):
+        d = len(diag)
+        m = [[diag[i] if i == j else rng.randint(-2, 2) * (j > i) for j in range(d)]
+             for i in range(d)]
+        return IntMatrix(m if rng.random() < 0.5 else [list(c) for c in zip(*m)])
+
+    pairs = []
+    for k in range(count):
+        d = 2 + k % 5
+        if kind == "R1":
+            f, g = rand_unimodular(rng, d, 2 * d), rand_unimodular(rng, d, 2 * d)
+        elif kind == "R3":
+            u = rand_unimodular(rng, d, 2 * d)
+            f, g = triangular([nonzero(2, 4) for _ in range(d)]) @ u, u
+        else:
+            n = nonzero(2, 5)
+            diag = [nonzero(1, 6) for _ in range(d)]
+            diag = [x if abs(x) != abs(n) else x + (1 if x > 0 else -1) for x in diag]
+            if all(abs(x) == 1 for x in diag):
+                diag[rng.randrange(d)] *= abs(n) + 1
+            f, g = IntMatrix.scalar(d, n), triangular(diag)
+        pairs.append((f, g) if rng.random() < 0.5 else (g, f))
+    return pairs
+
+
 def test_dilation_chain_never_not_dense():
     rng = seeded(47)
     from qsimp.simplicity import is_dilation
@@ -820,6 +978,19 @@ def test_dilation_chain_never_not_dense():
         found += 1
         v = decide_density(f, IntMatrix.identity(d))
         assert v.status == DENSE
+    # and the R3 pairs, a dilation against a unimodular partner
+    for f, g in _closed_form_pairs("R3", 167, 60):
+        assert decide(f, g).rules_fired[-1][0] == "R3-dilation"
+        assert decide_density(f, g).status == DENSE, (f, g)
+
+
+def test_closed_form_rules_agree_with_the_exact_decision():
+    # R1 (NotSimple) and R4 (Simple here) decide without the chain; the
+    # exact decision, which they skip, gives the same answer
+    for kind, seed, status in (("R1", 173, NOT_DENSE), ("R4", 179, DENSE)):
+        for f, g in _closed_form_pairs(kind, seed, 60):
+            assert decide(f, g).rules_fired[-1][0].startswith(kind)
+            assert decide_density(f, g).status == status, (kind, f, g)
 
 
 # sha256 of the `trace` output line of cli.run at depths 24, 96 and 192,

@@ -5,7 +5,7 @@ import pytest
 from helpers import count_calls, rand_matrix, rand_nonsingular, rand_unimodular, seeded
 from qsimp.intmat import IntMatrix, charpoly, det, unimodular_inverse
 from qsimp import chain, poly
-from qsimp.poly import _factor_mod, _factor_squarefree, _mul, _root_candidates, factor
+from qsimp.poly import _factor_mod, _mul, _root_candidates, factor
 
 
 def corpus():
@@ -125,11 +125,31 @@ def test_factor_root_products_match_sympy():
         assert (got[0], sorted(got[1])) == sympy_factor(f), f
 
 
+def _power(f, n):
+    out = [1]
+    for _ in range(n):
+        out = _mul(out, f)
+    return out
+
+
 def test_factor_rational_root_products_match_sympy():
     rng = seeded(151)
     cases = [f for f, _ in linear_products(rng, repeats=True, denoms=DENOMS)]
     cases += [_mul(f, q) for f, _ in AT_CAUCHY_BOUND for q in ([5, 1], [1, 0, 7])]
     assert sum(abs(f[0]) > 1 for f in cases) >= 30
+    # repeated roots, stripped with their multiplicity: (2x - 1)^3,
+    # (x + 1)^2 (3x - 2), x^2 (x - 1)(x + 1), and seeded products of
+    # degree at most 8 with a root of multiplicity 2 to 4
+    cases += [_power([2, -1], 3), _mul(_power([1, 1], 2), [3, -2]),
+              _mul(_power([1, 0], 2), [1, 0, -1])]
+    for _ in range(20):
+        f = rng.choice(COFACTORS)
+        while len(f) < 8:
+            s, r = rng.choice(DENOMS), rng.choice((1, -1)) * rng.choice(ROOTS[:8])
+            if math.gcd(s, r) == 1:
+                f = _mul(f, _power([s, -r], min(rng.randint(2, 4), 9 - len(f))))
+        cases.append(f)
+    assert all(len(f) <= 9 for f in cases)
     for f in cases:
         got = factor(f)
         assert (got[0], sorted(got[1])) == sympy_factor(f), f
@@ -157,10 +177,25 @@ def test_root_candidates_cost_no_division_unless_roots(monkeypatch):
         candidates = _root_candidates(f)
         assert set(roots) < set(candidates)
         calls.clear()
-        got = _factor_squarefree(f)
+        got = factor(f)[1]
         # each root costs one exact division, every other candidate none
         assert sorted(calls) == sorted([s, -r] for s, r in roots)
-        assert sorted(p for p in got if len(p) == 2) == sorted([s, -r] for s, r in roots)
+        assert sorted(p for p, _ in got if len(p) == 2) == sorted([s, -r] for s, r in roots)
+
+
+def test_factor_of_degree_at_most_3_runs_no_gcd(monkeypatch):
+    # the rational roots go first, with their multiplicity, and what is left
+    # of degree 2 or 3 is irreducible: no squarefree split is needed
+    calls = count_calls(monkeypatch, (poly,), "_gcd")
+    cases = [f for f in corpus() if len(f) <= 4]
+    cases += [[2, -1], [1, 0, 1], [6, 0, -4], [1, 0, 0, -2], [-8, 12, -6, 1],
+              _mul([1, 2, 1], [3, -2]), _mul([2, -1], [2, -1]), [3, 3, 0, 0]]
+    repeated = 0
+    for f in cases:
+        content, factors = factor(f)
+        assert expand(content, factors) == f
+        repeated += any(mult > 1 for _, mult in factors)
+    assert not calls and len(cases) >= 40 and repeated >= 5
 
 
 def test_decide_density_on_small_pairs_runs_no_zassenhaus(monkeypatch):

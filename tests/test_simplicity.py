@@ -146,11 +146,10 @@ def test_r5_decide_runs_one_bareiss_det_and_one_adjugate_pass_per_matrix(monkeyp
     f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
     v = decide(f, g)
     assert v.rules_fired[-1][0] == "R5-density"
-    # check_hypotheses runs Bareiss; the chain's per-pair data reads det and
-    # adjugate from one fraction-free Gauss-Jordan pass
-    assert calls == {
-        (name, m): 1 for name in ("det", "det_adjugate") for m in (f, g)
-    }
+    # check_hypotheses runs Bareiss; the density decision reads G's det and
+    # adjugate from one fraction-free Gauss-Jordan pass, and a Dense pair
+    # needs none of F's
+    assert calls == {("det", f): 1, ("det", g): 1, ("det_adjugate", g): 1}
 
 
 def test_r5_decide_calls_no_snf_inverse_or_normalize(monkeypatch):
