@@ -75,7 +75,9 @@ The density decision:
   algebraic unit; otherwise a scaled vector of the meet is a witness
   character lying in every annihilator. `decide_density` factors P alone,
   tags each factor by its two ends, and builds an obstruction space, from
-  the factors that are units at both ends, only for a witness.
+  the factors that are units at both ends, only for a witness. The
+  witness's vector is the first reduced echelon row of the meet, read off
+  one elimination of the space's equations with their columns reversed.
 
 `lattice` and `poly` are lazy submodules (see the package docstring),
 used here as module attributes: a trace runs `lattice` and never `poly`,
@@ -284,21 +286,30 @@ def _echelon(rows: list[list[int]]) -> list[list[int]]:
     return [poly.primitive(row) for row in m[:r]]
 
 
-def _kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Integer basis of the rational kernel {x : rows x = 0}."""
-    ech = _echelon(rows)
+def _kernel_row(rows: list[list[int]]) -> Optional[list[int]]:
+    """The first row of the reduced echelon form of the rational kernel
+    {x : rows x = 0}, made primitive with a positive pivot; None when the
+    kernel is 0.
+
+    One elimination of the rows with their columns reversed. There each
+    row is nonzero only at its pivot and at free columns, all right of
+    the pivot in the reversed order, so the kernel vector of a free column
+    f is nonzero only at f and at the pivot columns right of f in the
+    original order, and zero at the other free columns. Those vectors are
+    the reduced echelon rows of the kernel, and the first one is that of
+    the leftmost free column.
+    """
+    ech = _echelon([row[::-1] for row in rows])
     pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
+    free = max(set(range(len(rows[0]))) - set(pivots), default=None)
+    if free is None:
+        return None
     scale = math.lcm(*(row[p] for row, p in zip(ech, pivots)))
-    basis = []
-    for free in range(len(rows[0])):
-        if free in pivots:
-            continue
-        x = [0] * len(rows[0])
-        x[free] = scale
-        for row, p in zip(ech, pivots):
-            x[p] = -row[free] * (scale // row[p])
-        basis.append(x)
-    return basis
+    x = [0] * len(rows[0])
+    x[free] = scale
+    for row, p in zip(ech, pivots):
+        x[p] = -row[free] * (scale // row[p])
+    return poly.primitive(x[::-1])
 
 
 def _denominators(side: _Side, v, steps: int) -> list[int]:
@@ -337,11 +348,13 @@ def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
     So only G's det and adjugate, the forward side and P's factor list are
     needed to decide; P(0) = det(-F) checks F. Only a NotDense pair builds
     more. Then v, the first row of the reduced echelon form of the meet
-    made primitive, is scaled by the lcm e of the denominators of
-    D^j G^{-T} v and D'^j F^{-T} v for j < d. On the meet D satisfies a
-    monic integer polynomial of degree at most d (Cayley-Hamilton), so
-    e v stays integral at every step and lies in every annihilator; the
-    same walk checks that the denominators at step d divide e.
+    made primitive, comes from one elimination of the meet's equations
+    with their columns reversed (`_kernel_row`). It is scaled by the lcm e
+    of the denominators of D^j G^{-T} v and D'^j F^{-T} v for j < d. On
+    the meet D satisfies a monic integer polynomial of degree at most d
+    (Cayley-Hamilton), so e v stays integral at every step and lies in
+    every annihilator; the same walk checks that the denominators at step
+    d divide e.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("F and G must have equal dimensions")
@@ -362,7 +375,7 @@ def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
             DENSE, None, "the obstruction spaces of the two chains meet only "
             "in 0",
         )
-    v = _echelon(_kernel(_obstruction_equations(forward, units).rows))[0]
+    v = _kernel_row(_obstruction_equations(forward, units).rows)
     df, adj_f = det_adjugate(f)
     d = f.dim
     walks = [_denominators(side, v, d + 1) for side in (forward, _side(g, df, adj_f))]

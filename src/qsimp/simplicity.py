@@ -10,7 +10,21 @@ chain-based density decision:
   R5  otherwise density of the generated subgroup decides, exactly.
 
 R5 always reaches a verdict, so only R0 answers Unknown, and R5 is the one
-path past the closed forms.
+path past the closed forms. Each verdict names the one rule that decided it.
+
+R3 and R4 never compete. After R1 at most one matrix is unimodular. When
+one is, R3 is tried once, with that matrix as B, and R4 is not tried,
+because R4 can hold on (A, B) = (n I, triangular) only where R3 holds:
+
+  * if the unimodular matrix is A = +-I, R4 needs every |b_ii| >= 2; then
+    B A^{-1} = +-B is triangular with eigenvalues b_ii, a dilation, so R3
+    fires on (B, A);
+  * if the unimodular matrix is B, its triangular diagonal is +-1, so R4
+    needs A = +-n I with n >= 2 (n = 1 is R1); then A B^{-1} = +-n B^{-1}
+    has every eigenvalue of modulus n, so R3 fires on (A, B).
+
+When neither matrix is unimodular R3 cannot apply, and R4 is tried on
+(F, G) and then on the swapped pair.
 
 R2, `normalize`, is not a step of the cascade: it moves (F, G) to the
 verdict-equivalent pair (|det F| * I, D V U) through the adjugate and a
@@ -151,85 +165,69 @@ def _scalar_of(m: IntMatrix) -> Optional[int]:
 
 def _verdict(
     status: str,
-    rules: list[tuple[str, str]],
+    rule: tuple[str, str],
     hyp: Hypotheses,
-    density=None,
-    witness=None,
+    density: Optional[_chain.DensityVerdict] = None,
 ) -> SimplicityVerdict:
     kirchberg = status == SIMPLE and (abs(hyp.det_f) != 1 or abs(hyp.det_g) != 1)
-    return SimplicityVerdict(status, rules, hyp, density, kirchberg, witness)
+    witness = None if density is None else density.witness
+    return SimplicityVerdict(status, [rule], hyp, density, kirchberg, witness)
 
 
 def decide(f: IntMatrix, g: IntMatrix) -> SimplicityVerdict:
     """Run the rule cascade; the first rule that applies decides.
 
-    Every rule that contributes to the decision path is logged with a
-    human-readable reason. Only R0 answers Unknown.
+    The verdict names that one rule with a human-readable reason. Only R0
+    answers Unknown.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("F and G must have equal dimensions")
     hyp = check_hypotheses(f, g)
-    rules: list[tuple[str, str]] = []
 
     if hyp.det_f == 0 or hyp.det_g == 0:
-        rules.append(
-            (
-                "R0-scope",
-                "zero determinant: the endomorphism is not onto, the "
-                "criterion does not apply",
-            )
-        )
-        return _verdict(UNKNOWN, rules, hyp)
+        return _verdict(UNKNOWN, (
+            "R0-scope",
+            "zero determinant: the endomorphism is not onto, the criterion "
+            "does not apply",
+        ), hyp)
 
     if hyp.both_automorphisms:
-        rules.append(
-            (
-                "R1-automorphisms",
-                "both matrices unimodular: the generated subgroup is trivial "
-                "and never dense",
-            )
-        )
-        return _verdict(NOT_SIMPLE, rules, hyp)
+        return _verdict(NOT_SIMPLE, (
+            "R1-automorphisms",
+            "both matrices unimodular: the generated subgroup is trivial and "
+            "never dense",
+        ), hyp)
 
-    # R3, then R4, each tried on (F, G) and then on the swapped pair
-    pairs = (
-        (f, g, "F", "G", hyp.det_g, ""),
-        (g, f, "G", "F", hyp.det_f, " (pair swapped)"),
-    )
-    for a, b, name_a, name_b, det_b, _ in pairs:
-        if abs(det_b) == 1 and is_dilation(a @ unimodular_inverse(b)):
-            rules.append(
-                (
-                    "R3-dilation",
-                    f"{name_b} unimodular and {name_a} {name_b}^{{-1}} a dilation matrix",
-                )
-            )
-            return _verdict(SIMPLE, rules, hyp)
-    for a, b, name_a, name_b, _, swapped in pairs:
-        n_a = _scalar_of(a)
-        if (
-            n_a is not None
-            and (b.is_upper_triangular() or b.is_lower_triangular())
-            and triangular_criterion(n_a, b)
+    if abs(hyp.det_g) == 1 or abs(hyp.det_f) == 1:
+        # R3 with the unimodular matrix as b; R4 cannot fire where R3 does
+        # not (module docstring)
+        a, b, name_a, name_b = (f, g, "F", "G") if abs(hyp.det_g) == 1 else (g, f, "G", "F")
+        if is_dilation(a @ unimodular_inverse(b)):
+            return _verdict(SIMPLE, (
+                "R3-dilation",
+                f"{name_b} unimodular and {name_a} {name_b}^{{-1}} a dilation matrix",
+            ), hyp)
+    else:
+        for a, b, name_a, name_b, swapped in (
+            (f, g, "F", "G", ""), (g, f, "G", "F", " (pair swapped)")
         ):
-            rules.append(
-                (
+            n_a = _scalar_of(a)
+            if (
+                n_a is not None
+                and (b.is_upper_triangular() or b.is_lower_triangular())
+                and triangular_criterion(n_a, b)
+            ):
+                return _verdict(SIMPLE, (
                     "R4-triangular",
                     f"{name_a} = {n_a} * I and {name_b} triangular with no "
                     f"diagonal entry of modulus {n_a}{swapped}",
-                )
-            )
-            return _verdict(SIMPLE, rules, hyp)
+                ), hyp)
 
     dv = _chain.decide_density(f, g)
     if dv.status == _chain.DENSE:
-        rules.append(("R5-density", f"generated subgroup dense: {dv.reason}"))
-        return _verdict(SIMPLE, rules, hyp, density=dv)
-    rules.append(
-        (
-            "R5-density",
-            f"generated subgroup not dense, witness character "
-            f"{list(dv.witness)}",
-        )
-    )
-    return _verdict(NOT_SIMPLE, rules, hyp, density=dv, witness=dv.witness)
+        return _verdict(SIMPLE, ("R5-density", f"generated subgroup dense: {dv.reason}"),
+                        hyp, dv)
+    return _verdict(NOT_SIMPLE, (
+        "R5-density",
+        f"generated subgroup not dense, witness character {list(dv.witness)}",
+    ), hyp, dv)

@@ -162,7 +162,8 @@ def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
     passes = count_passes(monkeypatch, "det_adjugate")
     charpolys = count_passes(monkeypatch, "charpoly")
     dets = count_calls(monkeypatch, (intmat, chain, lattice), "det")
-    kernels = count_calls(monkeypatch, (chain,), "_kernel")
+    kernels = count_calls(monkeypatch, (chain,), "_kernel_row")
+    eliminations = count_calls(monkeypatch, (chain,), "_echelon")
     evaluations = count_calls(monkeypatch, (chain,), "evaluate")
     f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
     assert decide_density(f, g).status == DENSE
@@ -173,13 +174,15 @@ def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
     assert passes == {g: 1}
     assert not dets and not kernels and not evaluations
     assert charpolys and not charpolys.keys() & {f, g}
+    assert not eliminations
     # a NotDense pair takes F's det and adjugate for the witness alone, and
-    # one kernel
+    # one kernel row from one elimination
     passes.clear()
     f, g = IntMatrix([[-2, -2], [2, 1]]), IntMatrix([[2, 0], [-2, 1]])
     assert decide_density(f, g).status == NOT_DENSE
     assert passes == {f: 1, g: 1}
     assert not dets and kernels == {"qsimp.chain": 1}
+    assert eliminations == {"qsimp.chain": 1}
 
 
 def test_compute_chain_adjugate_passes_do_not_grow_with_depth(monkeypatch):
@@ -576,9 +579,11 @@ def _block_sum(*blocks):
     return IntMatrix(rows)
 
 
+@functools.cache
 def _factor_pairs():
     """Seeded nonsingular pairs for d = 1..8, and block sums of a repeated
-    block, whose characteristic polynomials have repeated factors."""
+    block, whose characteristic polynomials have repeated factors; built
+    once, as a tuple."""
     rng = seeded(61)
     pairs = []
     for d in range(1, 9):
@@ -589,7 +594,7 @@ def _factor_pairs():
             for _ in range(3):
                 f, g = rand_nonsingular(rng, d, -3, 3), rand_nonsingular(rng, d, -3, 3)
                 pairs.append((_block_sum(*[f] * copies), _block_sum(*[g] * copies)))
-    return pairs
+    return tuple(pairs)
 
 
 def _sides(f, g):
@@ -713,7 +718,7 @@ def _criterion_pairs():
     nonsingular X. A d = 1 block with |f| = |g| has a unit eigenvalue; one
     in three sums has no unit block, and one in three many."""
     rng = seeded(163)
-    pairs = _factor_pairs()
+    pairs = list(_factor_pairs())
     vals = [-3, -2, -1, 1, 2, 3]
     for k in range(420):
         blocks, d = [], 0
@@ -744,17 +749,17 @@ def _criterion_pairs():
 def _reference_density(f, g):
     """The two-space rule: each chain's obstruction space from the
     equations of its own factor list, their meet the kernel of the stacked
-    rows, and the witness scaled with exact fractions by the lcm of the
-    denominators of D^j G^-T v and D'^j F^-T v for j < d."""
+    rows, whose first echelon row v `_kernel_row` gives (checked against
+    sympy below), and the witness scaled with exact fractions by the lcm of
+    the denominators of D^j G^-T v and D'^j F^-T v for j < d."""
     sides = _sides(f, g)
     equations = [chain._obstruction_equations(side, poly.factor(chain._pencil(side))[1])
                  for side in sides]
     if None in equations:
         return DENSE, None, NO_MONIC
-    common = chain._kernel([row for n in equations for row in n.rows])
-    if not common:
+    v = chain._kernel_row([row for n in equations for row in n.rows])
+    if v is None:
         return DENSE, None, MEET_IN_0
-    v = chain._echelon(common)[0]
     e = 1
     for side in sides:
         w = [Fraction(x, side.c) for x in side.adj_t.apply(v)]
@@ -788,6 +793,36 @@ def test_density_is_the_unit_factor_criterion_by_sympy():
         assert status == (NOT_DENSE if unit else DENSE), (f, g)
         statuses.add(status)
     assert statuses == {DENSE, NOT_DENSE}
+
+
+def test_kernel_row_is_the_first_echelon_row_of_the_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    rng = seeded(173)
+    zero_rows = zero_cols = 0
+    for _ in range(400):
+        d, r = rng.randint(1, 6), rng.randint(0, 5)
+        rank = rng.randint(0, min(d - 1, r))
+        basis = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rank)]
+        coeffs = [[rng.randint(-3, 3) for _ in basis] for _ in range(max(r, 1))]
+        rows = [[sum(c * b[j] for c, b in zip(cs, basis)) for j in range(d)] for cs in coeffs]
+        if rng.random() < 0.3:
+            rows[rng.randrange(len(rows))] = [0] * d
+        if rng.random() < 0.3:
+            col = rng.randrange(d)
+            for row in rows:
+                row[col] = 0
+        zero_rows += any(not any(row) for row in rows)
+        zero_cols += any(not any(row[j] for row in rows) for j in range(d))
+        # the first row of the kernel's reduced echelon form has pivot 1;
+        # clear its denominators and content
+        first = sympy.Matrix.hstack(*sympy.Matrix(rows).nullspace()).T.rref()[0].row(0)
+        scale = math.lcm(*(sympy.fraction(x)[1] for x in first))
+        want = [int(x * scale) for x in first]
+        content = math.gcd(*want)
+        assert chain._kernel_row(rows) == [x // content for x in want], rows
+    assert zero_rows >= 50 and zero_cols >= 50
+    # a kernel of 0 has no row
+    assert chain._kernel_row([[1, 2], [0, 3]]) is None
 
 
 @pytest.mark.parametrize("f, g, status, sides, reason", [

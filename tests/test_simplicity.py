@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -211,6 +212,66 @@ def test_decide_triangular_swapped_orientation():
     v = decide(IntMatrix([[3, 1], [0, 5]]), IntMatrix.scalar(2, 2))
     assert v.status == SIMPLE
     assert v.rules_fired[-1][0] == "R4-triangular"
+
+
+def _r4_holds(a, b):
+    """R4's predicate on (A, B): A = n I and B triangular with no diagonal
+    entry of modulus n."""
+    n = a.scalar_value()
+    return (n is not None and (b.is_upper_triangular() or b.is_lower_triangular())
+            and triangular_criterion(abs(n), b))
+
+
+def _r3_covers_r4(a, b):
+    """For a nonsingular pair with one unimodular matrix on which R4 holds:
+    whether R3 holds with the unimodular matrix as B."""
+    unimodular, other = (a, b) if abs(intmat.det(a)) == 1 else (b, a)
+    assert abs(intmat.det(other)) != 1
+    return is_dilation(other @ intmat.unimodular_inverse(unimodular))
+
+
+def test_r3_fires_wherever_r4_holds_on_a_unimodular_pair():
+    # R4 needs a scalar A, so this covers every pair with entries in
+    # [-3, 3] on which it holds in either orientation, for d = 1 and 2
+    covered = Counter()
+    for d in (1, 2):
+        for n in range(-3, 4):
+            a = IntMatrix.scalar(d, n)
+            for entries in itertools.product(range(-3, 4), repeat=d * d):
+                b = IntMatrix([list(entries[i * d:(i + 1) * d]) for i in range(d)])
+                dets = abs(n**d), abs(intmat.det(b))
+                if 0 in dets or (dets[0] == 1) == (dets[1] == 1) or not _r4_holds(a, b):
+                    continue
+                assert _r3_covers_r4(a, b), (a, b)
+                covered[d, "A" if dets[0] == 1 else "B"] += 1
+    assert set(covered) == {(d, side) for d in (1, 2) for side in "AB"}
+    # seeded d = 3, 4 pairs: A = +-I against a triangular B, and A = n I
+    # against a triangular B with diagonal +-1
+    rng = seeded(89)
+    for _ in range(200):
+        d = rng.randint(3, 4)
+        unit = rng.random() < 0.5
+        n = rng.choice((-1, 1)) if unit else rng.choice((-3, -2, 2, 3))
+        diagonal = ([rng.choice([x for x in range(-4, 5) if abs(x) > 1]) for _ in range(d)]
+                    if unit else [rng.choice((-1, 1)) for _ in range(d)])
+        rows = [[diagonal[i] if i == j else rng.randint(-3, 3) * (j > i) for j in range(d)]
+                for i in range(d)]
+        b = IntMatrix(rows) if rng.random() < 0.5 else IntMatrix(rows).transpose()
+        a = IntMatrix.scalar(d, n)
+        assert _r4_holds(a, b) and _r3_covers_r4(a, b), (a, b)
+        for f, g in ((a, b), (b, a)):
+            assert [rule for rule, _ in decide(f, g).rules_fired] == ["R3-dilation"]
+
+
+def test_unimodular_pair_ending_in_r5_tries_no_r4(monkeypatch):
+    # with one unimodular matrix only R3 is tried; R4 reads no scalar
+    scalars = count_calls(monkeypatch, (simplicity,), "_scalar_of")
+    v = decide(IntMatrix.identity(2), IntMatrix([[0, -2], [1, 4]]))
+    assert [rule for rule, _ in v.rules_fired] == ["R5-density"]
+    assert v.status == SIMPLE and not scalars
+    # a pair with no unimodular matrix tries R4 on both orientations
+    v = decide(IntMatrix.scalar(2, 2), IntMatrix([[0, -2], [1, 4]]))
+    assert v.rules_fired[0][0] == "R5-density" and scalars == {"qsimp.simplicity": 2}
 
 
 def test_decide_zero_det_unknown():
