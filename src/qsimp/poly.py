@@ -1,12 +1,17 @@
 """Integer polynomials: factorisation over Z.
 
 A polynomial is a list of integer coefficients, highest degree first, with
-no leading zeros; [1, 0, -2] is x^2 - 2. `factor` strips the rational roots
-first, each with its multiplicity: every candidate from a divisor search is
-tested by evaluation, and only a root costs a division. A remainder of
-degree at most 3 without rational roots is irreducible, so squarefree, and
-small inputs end there, with no gcd and no lifting. A larger remainder
-takes the classical Zassenhaus method (Zassenhaus, J. Number Theory 1,
+no leading zeros; [1, 0, -2] is x^2 - 2. `factor` splits a quadratic in
+closed form: it is reducible exactly when its discriminant is a square, and
+the integer square root gives both factors at any coefficient size, with no
+search. An input of degree 3 or more first has its rational roots stripped,
+each with its multiplicity: every candidate from a divisor search is tested
+by evaluation, and only a root costs a division. The search stops once what
+is left has degree at most 2, which the closed form finishes, and a cubic
+left without rational roots is irreducible, so squarefree. Small inputs end
+there, with no gcd and no lifting. A remainder of degree 4 or more, and a
+polynomial of degree 3 or more whose divisor search would be too long,
+take the classical Zassenhaus method (Zassenhaus, J. Number Theory 1,
 1969): split off the repeated part with gcd(f, f'), factor the squarefree
 part modulo a small prime with Cantor-Zassenhaus (Math. Comp. 36, 1981),
 Hensel-lift the modular factors and recombine them exhaustively.
@@ -27,7 +32,10 @@ def factor(f: Sequence[int]) -> tuple[int, list[tuple[list[int], int]]]:
     """(content, [(p, multiplicity), ...]) with f = content * prod p^mult.
 
     Every p is irreducible over Z, primitive, with a positive leading
-    coefficient; the list is sorted by degree, then coefficients.
+    coefficient; the list is sorted by degree, then coefficients. A
+    quadratic, whether the input or what is left once rational roots are
+    stripped, is factored from its discriminant and never reaches gcd or
+    Hensel lifting; an input of degree at most 2 makes no divisor search.
     """
     f = _strip(list(f))
     if not any(f):
@@ -41,8 +49,10 @@ def factor(f: Sequence[int]) -> tuple[int, list[tuple[list[int], int]]]:
     if zeros:
         out.append(([1, 0], zeros))
         f = f[: len(f) - zeros]
-    roots = _root_candidates(f) if len(f) > 1 else ()
+    roots = _root_candidates(f) if len(f) > 3 else ()
     for s, r in roots or ():
+        if len(f) <= 3:
+            break
         # s x - r is primitive, so it divides f over Z exactly when f(r/s) = 0;
         # then s divides the lead and r the constant term of what is left
         mult = 0
@@ -50,12 +60,25 @@ def factor(f: Sequence[int]) -> tuple[int, list[tuple[list[int], int]]]:
             f, mult = _divexact(f, [s, -r]), mult + 1
         if mult:
             out.append(([s, -r], mult))
-    # with no rational root left, a remainder of degree 2 or 3 is
-    # irreducible, and so squarefree
-    if roots is not None and len(f) <= 4:
-        if len(f) > 1:
+    if len(f) == 3:
+        # a x^2 + b x + c splits exactly when b^2 - 4ac = s^2, and then
+        # (2a x + b - s)(2a x + b + s) = 4a (a x^2 + b x + c); f is
+        # primitive, so by Gauss's lemma it is the product of the two
+        # primitive parts
+        a, b, c = f
+        disc = b * b - 4 * a * c
+        s = math.isqrt(max(disc, 0))
+        if s * s != disc:
             out.append((f, 1))
-    else:
+        elif s == 0:
+            out.append((primitive([2 * a, b]), 2))
+        else:
+            out += [(primitive([2 * a, b - s]), 1), (primitive([2 * a, b + s]), 1)]
+    elif len(f) == 2 or (roots is not None and len(f) == 4):
+        # a linear remainder is its own factor, and a cubic with no
+        # rational root left is irreducible
+        out.append((f, 1))
+    elif len(f) > 1:
         # gcd(f, f') is the product of p^(mult - 1) over the factors p of f,
         # so a squarefree f makes no trial division for multiplicities
         repeated = _gcd(f, _derivative(f))

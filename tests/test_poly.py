@@ -156,14 +156,19 @@ def test_factor_rational_root_products_match_sympy():
 
 
 def test_root_candidates_cost_no_division_unless_roots(monkeypatch):
-    calls = []
+    calls, tested = [], []
 
     def counted(a, b, orig=poly._divexact):
         if len(b) == 2:
             calls.append(b)
         return orig(a, b)
 
+    def evaluated(a, r, s, orig=poly._value):
+        tested.append((len(a) - 1, [s, -r]))
+        return orig(a, r, s)
+
     monkeypatch.setattr(poly, "_divexact", counted)
+    monkeypatch.setattr(poly, "_value", evaluated)
     monkeypatch.setattr(poly, "_zassenhaus", None)  # no recombination runs
     for f, ((s, r), *_) in AT_CAUCHY_BOUND:
         lead, top = abs(f[0]), abs(f[0]) + max(abs(c) for c in f[1:])
@@ -171,16 +176,70 @@ def test_root_candidates_cost_no_division_unless_roots(monkeypatch):
     rng = seeded(149)
     cases = linear_products(rng, repeats=False) + AT_CAUCHY_BOUND
     cases += linear_products(rng, repeats=False, denoms=DENOMS)
+    divided = closed = 0
     for f, roots in cases:
         for s, r in roots:
             assert poly._value(f, r, s) == 0
         candidates = _root_candidates(f)
         assert set(roots) < set(candidates)
         calls.clear()
+        tested.clear()
         got = factor(f)[1]
-        # each root costs one exact division, every other candidate none
-        assert sorted(calls) == sorted([s, -r] for s, r in roots)
-        assert sorted(p for p, _ in got if len(p) == 2) == sorted([s, -r] for s, r in roots)
+        linear = sorted([s, -r] for s, r in roots)
+        assert sorted(p for p, _ in got if len(p) == 2) == linear
+        # each root the search finds costs one exact division, every other
+        # candidate none; the rest come from a quadratic's discriminant
+        assert all(b in linear for b in calls) and len(calls) == len({tuple(b) for b in calls})
+        # once the remainder has degree at most 2 no candidate is tested:
+        # only the root just divided out is tried again, for its multiplicity
+        assert all(b == calls[-1] for n, b in tested if n <= 2)
+        divided += len(calls)
+        closed += len(linear) - len(calls)
+    assert divided > 100 and closed > 25
+
+
+def seeded_quadratics(rng, bits):
+    """Quadratics with (bits)-bit coefficients, keyed by the sign of the
+    discriminant and whether it is a square, each also with content 6,
+    with a negative lead, and times x for a zero root."""
+    def big():
+        return rng.getrandbits(bits) | 1 << (bits - 1)
+
+    a, c = big(), big()
+    p, q, r, t = (big() >> bits // 2 for _ in range(4))
+    cases = {
+        "disc < 0": [a, rng.getrandbits(bits - 1), c],
+        "disc > 0, no square": [a, big(), -c],
+        "square disc": _mul([p, q], [r, -t]),
+        "disc = 0": _mul([p, -q], [p, -q]),
+    }
+    return {f"{key}, {how}": g for key, f in cases.items()
+            for how, g in (("", f), ("content 6", [6 * x for x in f]),
+                           ("negative lead", [-x for x in f]), ("zero root", f + [0]))}
+
+
+def test_quadratics_factor_by_discriminant_and_match_sympy(monkeypatch):
+    pytest.importorskip("sympy")
+    names = ("_root_candidates", "_gcd", "_zassenhaus")
+    calls = {name: count_calls(monkeypatch, (poly,), name) for name in names}
+    rng = seeded(163)
+    for bits in (64, 200, 1000, 4000):
+        for key, f in seeded_quadratics(rng, bits).items():
+            a, b, c = f[:3]
+            disc = b * b - 4 * a * c
+            assert ("disc < 0" in key) == (disc < 0)
+            square = key.startswith(("square", "disc = 0"))
+            assert square == (math.isqrt(max(disc, 0)) ** 2 == disc)
+            got = factor(f)
+            assert (got[0], sorted(got[1])) == sympy_factor(f), (bits, key)
+    # degree 2 and below take the discriminant, with no search, gcd or lifting
+    for f in ([3], [-2, 4], [5, 0], [1, 0, 0], [4, 4, 1], [2, 0, -8]):
+        assert expand(*factor(f)) == f
+    assert not any(calls.values())
+    # a cubic with a huge root search goes to gcd and Zassenhaus as before
+    big = (1 << 200) + 235
+    assert factor(_mul([1, -big], [1, 0, 1])) == (1, [([1, -big], 1), ([1, 0, 1], 1)])
+    assert all(calls[name]["qsimp.poly"] == 1 for name in names)
 
 
 def test_factor_of_degree_at_most_3_runs_no_gcd(monkeypatch):
@@ -199,8 +258,12 @@ def test_factor_of_degree_at_most_3_runs_no_gcd(monkeypatch):
 
 
 def test_decide_density_on_small_pairs_runs_no_zassenhaus(monkeypatch):
-    # d <= 3: the pencil polynomial has degree at most 3, so stripping its
-    # rational roots leaves nothing or an irreducible remainder
+    # d <= 3 with small entries: the pencil polynomial has degree at most 3,
+    # so stripping its rational roots leaves nothing or an irreducible
+    # remainder. At d = 2 the pencil is a quadratic, split by its
+    # discriminant however large its coefficients; at d = 3 entries of
+    # about 10 bits or more make the root search too long, and the cubic
+    # still reaches Zassenhaus
     calls = count_calls(monkeypatch, (poly,), "_zassenhaus")
     rng = seeded(157)
     leads = set()
@@ -210,6 +273,17 @@ def test_decide_density_on_small_pairs_runs_no_zassenhaus(monkeypatch):
         chain.decide_density(f, g)
         leads.add(abs(det(g)))
     assert not calls and max(leads) > 20
+    for bits in (200, 500, 1000, 2000, 4000):
+        for _ in range(3):
+            f = rand_nonsingular(rng, 2, -(2**bits), 2**bits)
+            g = rand_nonsingular(rng, 2, -(2**bits), 2**bits)
+            chain.decide_density(f, g)
+            assert not calls, bits
+            # triangular pairs: a pencil with two rational roots
+            f, g = (IntMatrix([[rng.getrandbits(bits) | 1, rng.getrandbits(bits)],
+                               [0, -1 - rng.getrandbits(bits)]]) for _ in range(2))
+            chain.decide_density(f, g)
+            assert not calls, bits
 
 
 def test_charpoly_matches_sympy():
