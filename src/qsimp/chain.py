@@ -76,8 +76,17 @@ The density decision:
   character lying in every annihilator. `decide_density` factors P alone,
   tags each factor by its two ends, and builds an obstruction space, from
   the factors that are units at both ends, only for a witness. The
-  witness's vector is the first reduced echelon row of the meet, read off
-  one elimination of the space's equations with their columns reversed.
+  witness's vector v is the first reduced echelon row of the meet, read
+  off one elimination of the space's equations with their columns
+  reversed;
+* v is scaled from G's side alone. With y = G^{-T} v, U(D) y = 0 for the
+  product U of the factors that are units at both ends, with their
+  multiplicities and made monic, and U(0) = +-1. On the lattice Z[D] y,
+  spanned by the D^j y for j < deg U, D^{-1} is then an integer
+  polynomial in D, and each backward value D'^j F^{-T} v = D^{-(j+1)} y
+  lies in that lattice. So the lcm e of the denominators of the D^j y,
+  j < d, clears them too, and the backward chain needs no side and no
+  walk of its own.
 
 `lattice` and `poly` are lazy submodules (see the package docstring),
 used here as module attributes: a trace runs `lattice` and never `poly`,
@@ -140,8 +149,9 @@ def _pair(f: IntMatrix, g: IntMatrix) -> tuple[tuple[int, IntMatrix], tuple[int,
 
 
 def _side(f: IntMatrix, dg: int, adj_g: IntMatrix) -> _Side:
-    """The forward side of (F, G) from F and the det and adjugate of G;
-    the backward side is _side(g, det F, adj F)."""
+    """The forward side of (F, G) from F and the det and adjugate of G,
+    the only side `decide_density` builds; _side(g, det F, adj F) is the
+    backward one."""
     adj_g_t = adj_g.transpose()
     return _Side(adj_g_t @ f.transpose(), adj_g_t, dg)
 
@@ -350,11 +360,17 @@ def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
     more. Then v, the first row of the reduced echelon form of the meet
     made primitive, comes from one elimination of the meet's equations
     with their columns reversed (`_kernel_row`). It is scaled by the lcm e
-    of the denominators of D^j G^{-T} v and D'^j F^{-T} v for j < d. On
-    the meet D satisfies a monic integer polynomial of degree at most d
-    (Cayley-Hamilton), so e v stays integral at every step and lies in
-    every annihilator; the same walk checks that the denominators at step
-    d divide e.
+    of the denominators of D^j y for j < d, with y = G^{-T} v, from one
+    walk on G's side. With U the product of the factors that are units at
+    both ends, with their multiplicities and made monic, U(D) y = 0,
+    deg U <= d and U(0) = +-1. So the lattice Z[D] y is spanned by the
+    D^j y for j < deg U, e clears it, and e v lies in every forward
+    annihilator. On that lattice D^{-1} is an integer polynomial in D,
+    since U(0) = +-1, and as F^T = G^T D each backward value
+    D'^j F^{-T} v equals D^{-(j+1)} y and lies in the lattice: e v lies in
+    every backward annihilator too, and a backward walk could never raise
+    e. So F enters only through a = adj(G)^T F^T. The walk checks that
+    the denominator at step d divides e.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("F and G must have equal dimensions")
@@ -376,11 +392,9 @@ def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
             "in 0",
         )
     v = _kernel_row(_obstruction_equations(forward, units).rows)
-    df, adj_f = det_adjugate(f)
-    d = f.dim
-    walks = [_denominators(side, v, d + 1) for side in (forward, _side(g, df, adj_f))]
-    e = math.lcm(*(den for walk in walks for den in walk[:-1]))
-    if any(e % walk[-1] for walk in walks):
+    walk = _denominators(forward, v, f.dim + 1)
+    e = math.lcm(*walk[:-1])
+    if e % walk[-1]:
         raise ConsistencyError("witness character leaves the integers")
     return DensityVerdict(
         NOT_DENSE, tuple(e * x for x in v), "the obstruction spaces of the "

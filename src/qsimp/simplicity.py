@@ -36,6 +36,7 @@ products as the module's central property.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 from . import chain as _chain
@@ -92,7 +93,12 @@ def _schur_stable(low_coeffs: list[int]) -> bool:
 
     Classic reduction: with b0 the constant and bn the leading coefficient,
     stability requires |b0| < |bn| and passes to (bn*p - b0*p~)/z where p~
-    reverses the coefficients. Integer arithmetic throughout.
+    reverses the coefficients. Integer arithmetic throughout. Each new
+    polynomial is divided by its content, a positive integer (its lead
+    bn^2 - b0^2 is positive), which moves no root and so changes no
+    comparison; undivided, the bit length of the coefficients doubles at
+    every step, and a dilation, which passes all d steps, ends with about
+    2^d times the input's bits.
     """
     c = list(low_coeffs)
     n = len(c) - 1
@@ -101,6 +107,8 @@ def _schur_stable(low_coeffs: list[int]) -> bool:
         if abs(b0) >= abs(bn):
             return False
         c = [bn * c[i + 1] - b0 * c[n - 1 - i] for i in range(n)]
+        g = math.gcd(*c)
+        c = [x // g for x in c]
         n -= 1
     return True
 

@@ -57,6 +57,16 @@ def rand_unimodular(rng, d, steps=12):
     return IntMatrix(rows)
 
 
+def block_sum(*blocks):
+    """The block diagonal matrix of the square IntMatrix blocks."""
+    d = sum(b.dim for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(row) + [0] * (d - at - b.dim) for row in b.rows]
+        at += b.dim
+    return IntMatrix(rows)
+
+
 def lattice_points_oracle(denom, d, member):
     """All cosets x in (1/denom)Z^d / Z^d with member(x) true.
 

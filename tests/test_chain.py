@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    block_sum,
     count_calls,
     count_passes,
     fold_join,
@@ -165,6 +166,7 @@ def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
     kernels = count_calls(monkeypatch, (chain,), "_kernel_row")
     eliminations = count_calls(monkeypatch, (chain,), "_echelon")
     evaluations = count_calls(monkeypatch, (chain,), "evaluate")
+    walks = count_calls(monkeypatch, (chain,), "_denominators")
     f, g = IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]])
     assert decide_density(f, g).status == DENSE
     # a Dense pair is read off the factor list of det(xG - F): one
@@ -174,15 +176,16 @@ def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
     assert passes == {g: 1}
     assert not dets and not kernels and not evaluations
     assert charpolys and not charpolys.keys() & {f, g}
-    assert not eliminations
-    # a NotDense pair takes F's det and adjugate for the witness alone, and
-    # one kernel row from one elimination
+    assert not eliminations and not walks
+    # a NotDense pair needs none of F's either: one kernel row from one
+    # elimination, scaled by one walk on G's side, which also clears the
+    # backward values (decide_density's docstring)
     passes.clear()
     f, g = IntMatrix([[-2, -2], [2, 1]]), IntMatrix([[2, 0], [-2, 1]])
     assert decide_density(f, g).status == NOT_DENSE
-    assert passes == {f: 1, g: 1}
+    assert passes == {g: 1}
     assert not dets and kernels == {"qsimp.chain": 1}
-    assert eliminations == {"qsimp.chain": 1}
+    assert eliminations == {"qsimp.chain": 1} and walks == {"qsimp.chain": 1}
 
 
 def test_compute_chain_adjugate_passes_do_not_grow_with_depth(monkeypatch):
@@ -570,15 +573,6 @@ def test_decide_density_rechecks_witness(monkeypatch):
         decide_density(m1(2), m1(2))
 
 
-def _block_sum(*blocks):
-    d = sum(b.dim for b in blocks)
-    rows, at = [], 0
-    for b in blocks:
-        rows += [[0] * at + list(row) + [0] * (d - at - b.dim) for row in b.rows]
-        at += b.dim
-    return IntMatrix(rows)
-
-
 @functools.cache
 def _factor_pairs():
     """Seeded nonsingular pairs for d = 1..8, and block sums of a repeated
@@ -593,7 +587,7 @@ def _factor_pairs():
         for copies in (2, 3) if d <= 2 else (2,):
             for _ in range(3):
                 f, g = rand_nonsingular(rng, d, -3, 3), rand_nonsingular(rng, d, -3, 3)
-                pairs.append((_block_sum(*[f] * copies), _block_sum(*[g] * copies)))
+                pairs.append((block_sum(*[f] * copies), block_sum(*[g] * copies)))
     return tuple(pairs)
 
 
@@ -710,39 +704,55 @@ UNIT_BLOCKS = [([[2, 1], [1, 1]], [[1, 0], [0, 1]]), ([[1, 1], [1, 0]], [[1, 0],
 HALF_UNIT_BLOCKS = [([[0, 1], [2, 0]], [[1, 0], [0, 1]]), ([[1, 0], [0, 1]], [[0, 1], [2, 0]])]
 
 
-@functools.cache
-def _criterion_pairs():
-    """_factor_pairs and seeded block sums up to d = 7 of the blocks above
-    and of d = 1 blocks (f, g), 1 <= |f|, |g| <= 3, conjugated by a
-    unimodular W and, for every fourth, multiplied on the left by a
-    nonsingular X. A d = 1 block with |f| = |g| has a unit eigenvalue; one
-    in three sums has no unit block, and one in three many."""
-    rng = seeded(163)
-    pairs = list(_factor_pairs())
+def _random_block_sum(rng, size, unit_share):
+    """A block sum (F, G) of dimension `size` of the blocks above and of
+    d = 1 blocks (f, g), 1 <= |f|, |g| <= 3; a d = 1 block with |f| = |g|
+    has a unit eigenvalue."""
     vals = [-3, -2, -1, 1, 2, 3]
-    for k in range(420):
-        blocks, d = [], 0
-        size, unit_share = rng.randint(1, 7), (0, 0.1, 0.4)[k % 3]
-        while d < size:
-            kind = rng.random()
-            if kind < unit_share:
-                if d + 2 <= size and rng.random() < 0.5:
-                    blocks.append(rng.choice(UNIT_BLOCKS))
-                else:
-                    f = rng.choice(vals)
-                    blocks.append(([[f]], [[rng.choice((f, -f))]]))
-            elif kind < 0.5 and d + 2 <= size:
-                blocks.append(rng.choice(HALF_UNIT_BLOCKS))
+    blocks, d = [], 0
+    while d < size:
+        kind = rng.random()
+        if kind < unit_share:
+            if d + 2 <= size and rng.random() < 0.5:
+                blocks.append(rng.choice(UNIT_BLOCKS))
             else:
                 f = rng.choice(vals)
-                blocks.append(([[f]], [[rng.choice([g for g in vals if abs(g) != abs(f)])]]))
-            d += len(blocks[-1][0])
-        f = _block_sum(*(IntMatrix(b) for b, _ in blocks))
-        g = _block_sum(*(IntMatrix(b) for _, b in blocks))
-        w = rand_unimodular(rng, d, steps=3)
+                blocks.append(([[f]], [[rng.choice((f, -f))]]))
+        elif kind < 0.5 and d + 2 <= size:
+            blocks.append(rng.choice(HALF_UNIT_BLOCKS))
+        else:
+            f = rng.choice(vals)
+            blocks.append(([[f]], [[rng.choice([g for g in vals if abs(g) != abs(f)])]]))
+        d += len(blocks[-1][0])
+    return (block_sum(*(IntMatrix(b) for b, _ in blocks)),
+            block_sum(*(IntMatrix(b) for _, b in blocks)))
+
+
+@functools.cache
+def _criterion_pairs():
+    """_factor_pairs and seeded block sums up to d = 7, conjugated by a
+    unimodular W and, for every fourth, multiplied on the left by a
+    nonsingular X; one in three sums has no unit block, and one in three
+    many. Then block sums of d = 2 to 6, rich in unit blocks, conjugated by
+    W and multiplied on the right by a Y with |det Y| > 1: (F Y, G Y) keeps
+    F G^-1, so a unit block's degree-2 factor, a unit at both ends, meets
+    |det F|, |det G| > 1 and a nonintegral G^-T."""
+    rng = seeded(163)
+    pairs = list(_factor_pairs())
+    for k in range(420):
+        f, g = _random_block_sum(rng, rng.randint(1, 7), (0, 0.1, 0.4)[k % 3])
+        w = rand_unimodular(rng, f.dim, steps=3)
         w_inv = intmat.unimodular_inverse(w)
-        x = rand_nonsingular(rng, d, -2, 2) @ w if k % 4 == 0 else w
+        x = rand_nonsingular(rng, f.dim, -2, 2) @ w if k % 4 == 0 else w
         pairs.append((x @ f @ w_inv, x @ g @ w_inv))
+    for _ in range(120):
+        f, g = _random_block_sum(rng, rng.randint(2, 6), 0.6)
+        w = rand_unimodular(rng, f.dim, steps=3)
+        y = rand_nonsingular(rng, f.dim, -2, 2)
+        while abs(det(y)) == 1:
+            y = rand_nonsingular(rng, f.dim, -2, 2)
+        w_y = intmat.unimodular_inverse(w) @ y
+        pairs.append((w @ f @ w_y, w @ g @ w_y))
     return pairs
 
 
@@ -771,15 +781,22 @@ def _reference_density(f, g):
 
 def test_density_is_the_unit_factor_criterion():
     # the pair is dense exactly when no factor of det(xG - F) has leading
-    # and constant coefficients +-1, which equals the parent rule of two
-    # obstruction spaces and the kernel of their stacked equations
-    reasons = Counter()
+    # and constant coefficients +-1, which equals the rule of two
+    # obstruction spaces and the kernel of their stacked equations; the
+    # witness scaled by walks on both sides equals the one scaled on G's
+    # side alone, also where a degree-2 unit factor meets |det| > 1
+    reasons, unit_quadratics = Counter(), 0
     for f, g in _criterion_pairs():
         v = decide_density(f, g)
         assert (v.status, v.witness, v.reason) == _reference_density(f, g), (f, g)
         reasons[v.reason] += 1
+        if v.status == NOT_DENSE and abs(det(f)) > 1 and abs(det(g)) > 1:
+            factors = poly.factor(chain._pencil(_sides(f, g)[0]))[1]
+            unit_quadratics += any(len(q) == 3 and abs(q[0]) == abs(q[-1]) == 1
+                                   for q, _ in factors)
     assert set(reasons) == {NO_MONIC, MEET_IN_0, SHARE_A_LINE}
     assert min(reasons.values()) >= 100, reasons
+    assert unit_quadratics >= 100, unit_quadratics
 
 
 def test_density_is_the_unit_factor_criterion_by_sympy():
@@ -825,28 +842,28 @@ def test_kernel_row_is_the_first_echelon_row_of_the_sympy_nullspace():
     assert chain._kernel_row([[1, 2], [0, 3]]) is None
 
 
-@pytest.mark.parametrize("f, g, status, sides, reason", [
+@pytest.mark.parametrize("f, g, status, reason", [
     # no factor of the forward side is D-monic
-    ([[-1, -2], [0, 2]], [[-3, -3], [3, 1]], DENSE, 1, NO_MONIC),
+    ([[-1, -2], [0, 2]], [[-3, -3], [3, 1]], DENSE, NO_MONIC),
     # G unimodular, so every forward factor is D-monic; none of the
     # backward side's is
-    ([[0, 3], [-2, 0]], [[1, -3], [1, -2]], DENSE, 1, NO_MONIC),
+    ([[0, 3], [-2, 0]], [[1, -3], [1, -2]], DENSE, NO_MONIC),
     # det(xG - F) = 2 (x + 1)^2, and x + 1 is D-monic on both sides
-    ([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], NOT_DENSE, 2, SHARE_A_LINE),
+    ([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], NOT_DENSE, SHARE_A_LINE),
     # det(xG - F) = (x - 2)(3x - 1): x - 2 is D-monic forward and 3x - 1
     # backward, and no factor is both
-    ([[2, 0], [0, 1]], [[1, 0], [0, 3]], DENSE, 1, MEET_IN_0),
+    ([[2, 0], [0, 1]], [[1, 0], [0, 3]], DENSE, MEET_IN_0),
 ], ids=["forward-dense", "backward-dense", "not-dense", "meet-in-0"])
 def test_decide_density_factors_one_characteristic_polynomial(monkeypatch, f, g, status,
-                                                              sides, reason):
+                                                              reason):
     charpolys = count_calls(monkeypatch, (chain,), "charpoly")
     factors = count_calls(monkeypatch, (poly,), "factor")
     built = count_calls(monkeypatch, (chain,), "_side")
     v = decide_density(IntMatrix(f), IntMatrix(g))
     assert v.status == status
     assert charpolys == {"qsimp.chain": 1} and factors == {"qsimp.poly": 1}
-    # the backward side is built only for the witness of a NotDense pair
-    assert built == {"qsimp.chain": sides}
+    # the backward side is never built, not even for a NotDense witness
+    assert built == {"qsimp.chain": 1}
     assert v.reason.startswith(reason)
 
 
@@ -861,9 +878,9 @@ def test_sides_build_only_the_products_their_callers_read(monkeypatch):
     # a density side is a = adj(G)^T F^T alone, one product. The NotSimple
     # pair, det(xG - F) = 2 (x + 1)^2, builds the obstruction equations of
     # the forward side alone, two more products: the square of its factor
-    # at a, and that times adj(G)^T; the backward side is built for the
-    # witness. A Dense pair builds the forward side only
-    for f, g, n in (([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], 4),
+    # at a, and that times adj(G)^T; the witness is scaled on that side,
+    # with no backward side. A Dense pair builds the forward side only
+    for f, g, n in (([[-2, -2], [2, 1]], [[2, 0], [-2, 1]], 3),
                     ([[-1, -2], [0, 2]], [[-3, -3], [3, 1]], 1)):
         products.clear()
         assert decide(IntMatrix(f), IntMatrix(g)).rules_fired[-1][0] == "R5-density"

@@ -1,11 +1,13 @@
 import itertools
+import math
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import count_calls, rand_nonsingular, rand_unimodular, seeded
-from qsimp import chain, intmat, lattice, simplicity
+from helpers import block_sum, count_calls, rand_nonsingular, rand_unimodular, seeded
+from qsimp import chain, intmat, lattice, poly, simplicity
 from qsimp.chain import DENSE, NOT_DENSE, decide_density
 from qsimp.errors import DimensionMismatch, NotTriangular, SingularMatrix
 from qsimp.intmat import IntMatrix
@@ -80,6 +82,137 @@ def test_is_dilation_against_numpy_eigenvalues():
             continue
         checked += 1
         assert is_dilation(m) == bool(np.all(moduli > 1.0))
+
+
+def _schur_undivided(c):
+    """The Schur-Cohn recursion with no content removal: the reference
+    answer, whose coefficients double in bit length at every step."""
+    n = len(c) - 1
+    while n > 0:
+        b0, bn = c[0], c[n]
+        if abs(b0) >= abs(bn):
+            return False
+        c = [bn * c[i + 1] - b0 * c[n - 1 - i] for i in range(n)]
+        n -= 1
+    return True
+
+
+# cyclotomic polynomials, low coefficients first: every root on the circle
+CYCLOTOMIC = [[-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, 1, 1, 1, 1], [1, -1, 1],
+              [1, 0, 0, 0, 1], [1, 0, -1, 0, 1]]
+
+
+def _known_moduli_factor(rng, degree, inside):
+    """A linear factor b + a z, whose root has modulus |b| / a, or a
+    quadratic c + b z + a z^2 with b^2 < 4ac, whose two roots have modulus
+    sqrt(c / a); every root inside the unit circle, or every root on or
+    outside it."""
+    a = rng.randint(2, 5)
+    c = rng.randint(1, a - 1) if inside else rng.randint(a, a + 3)
+    if degree == 1:
+        return [rng.choice((-1, 1)) * c, a]
+    return [c, rng.choice((-1, 1)) * rng.randint(0, math.isqrt(4 * a * c - 1)), a]
+
+
+def _product(rng, degree, outside=0):
+    """A product of degree `degree` of known-moduli factors, the first
+    `outside` of them with their roots on or outside the unit circle."""
+    p = [1]
+    while len(p) - 1 < degree:
+        k = 1 if len(p) == degree or rng.random() < 0.5 else 2
+        p = poly._mul(p, _known_moduli_factor(rng, k, inside=outside <= 0))
+        outside -= 1
+    return p
+
+
+def test_schur_stable_matches_the_undivided_recursion():
+    # content removal divides by a positive integer, which moves no root:
+    # the answer equals that of the undivided recursion, cheap for d <= 12.
+    # A dilation's reversed characteristic polynomial times a cyclotomic
+    # factor has roots on the circle and answers False
+    rng = seeded(181)
+    answers = Counter()
+    for d in range(1, 13):
+        for _ in range(30):
+            c = [rng.randint(-9, 9) for _ in range(d)] + [rng.choice((-1, 1)) * rng.randint(1, 9)]
+            got = simplicity._schur_stable(c)
+            answers[got] += 1
+            assert got == _schur_undivided(c), c
+        for _ in range(6):
+            c = _product(rng, d)
+            assert simplicity._schur_stable(c) is _schur_undivided(c) is True, c
+            for cyc in CYCLOTOMIC:
+                if len(c) + len(cyc) - 2 <= 12:
+                    cc = poly._mul(c, cyc)
+                    assert simplicity._schur_stable(cc) is _schur_undivided(cc) is False, cc
+        # 3 I and a triangular dilation conjugated by a unimodular W, alone
+        # and as block sums with a companion matrix of x^2 + x + 1
+        for f in (IntMatrix.scalar(d, 3), _conjugated_dilation(rng, d)):
+            assert is_dilation(f)
+            c = intmat.charpoly(f)
+            assert simplicity._schur_stable(c) is _schur_undivided(c) is True
+            if d <= 10:
+                rotation = IntMatrix([[0, -1], [1, -1]])
+                assert not is_dilation(block_sum(f, rotation))
+    assert answers[True] >= 20 and answers[False] >= 200, answers
+
+
+def _conjugated_dilation(rng, d):
+    """W T W^-1 for an upper triangular T with diagonal in +-{2, 3} and a
+    unimodular W: every eigenvalue has modulus 2 or 3."""
+    t = IntMatrix([[rng.choice((-3, -2, 2, 3)) if i == j else rng.randint(-2, 2) * (j > i)
+                    for j in range(d)] for i in range(d)])
+    w = rand_unimodular(rng, d, steps=2 * d)
+    return w @ t @ intmat.unimodular_inverse(w)
+
+
+def test_schur_stable_coefficients_grow_at_most_d_times_the_input_bits(monkeypatch):
+    # every step passes its new polynomial to math.gcd before dividing, so
+    # a recording gcd sees each intermediate polynomial and the kept one.
+    # At d = 12 and 32, on 3 I and on conjugated triangular dilations, no kept
+    # coefficient has more than d times the input's bits and no
+    # intermediate one more than 2 d times (measured: at most about 23 and
+    # 46 times); the undivided recursion reaches about 2^32 times
+    steps, peaks = Counter(), Counter()
+
+    def recording_gcd(*c):
+        g = math.gcd(*c)
+        steps["all"] += 1
+        peaks["intermediate"] = max(peaks["intermediate"], *(x.bit_length() for x in c))
+        peaks["kept"] = max(peaks["kept"], *((x // g).bit_length() for x in c))
+        return g
+
+    monkeypatch.setattr(simplicity, "math", types.SimpleNamespace(gcd=recording_gcd))
+    rng = seeded(193)
+    # d = 12 first, where the undivided recursion still ends in milliseconds,
+    # so a recursion that skips the division fails here instead of stalling
+    for d in (12, 32):
+        for f in (IntMatrix.scalar(d, 3), *(_conjugated_dilation(rng, d) for _ in range(4))):
+            steps.clear(), peaks.clear()
+            c = intmat.charpoly(f)
+            bits = max(abs(x).bit_length() for x in c)
+            assert simplicity._schur_stable(c)
+            assert steps["all"] == d
+            assert peaks["kept"] <= d * bits and peaks["intermediate"] <= 2 * d * bits, (bits, peaks)
+    # decide of 3 I_24 against I_24, about an hour undivided by the
+    # tenfold growth per 2 added to d measured up to d = 20
+    v = decide(IntMatrix.scalar(24, 3), IntMatrix.identity(24))
+    assert v.rules_fired[0][0] == "R3-dilation" and v.hypotheses.det_f == 3**24
+
+
+def test_schur_stable_on_products_with_known_root_moduli():
+    # up to d = 64, where the undivided recursion would need about 2^64
+    # times the input's bits: the answer is True exactly when no factor has
+    # a root on or outside the unit circle
+    rng = seeded(191)
+    for d in (8, 16, 24, 32, 48, 64):
+        for outside in (0, 0, 1, 2) if d < 48 else (0, 1):
+            c = _product(rng, d, outside)
+            assert len(c) == d + 1
+            assert simplicity._schur_stable(c) is (outside == 0), (d, outside)
+            # reversing the coefficients inverts every root, to outside
+            if outside == 0:
+                assert not simplicity._schur_stable(c[::-1])
 
 
 def test_triangular_criterion():
