@@ -21,7 +21,13 @@ is Z^d + sum Z row / D over the other rows. `_levels` carries the
 generators' images as integer numerators over the next fold denominator
 D |det G|, so each later level folds only r rows into the known
 triangular basis |det G| B. The pair's matrices are plain values that
-each public entry point computes and passes down; nothing is cached.
+each public entry point computes and passes down; nothing is cached. A
+trace takes each matrix's adjugate from two `det_adjugate` passes, its own
+and one in a level-1 `step_pos` call, and its det once more by Bareiss in
+the other call. A singular matrix stops its pass, or its Bareiss det, at
+the missing pivot, so a singular pair raises after one elimination of
+each matrix at most, and no entry point builds an adjugate it does not
+read.
 
 The join J_k of the forward level N_1 / D_1 and the backward level
 N_2 / D_2 (canonical forms) is built by `lattice.joins`. D_1 divides a
@@ -101,10 +107,11 @@ from typing import NamedTuple, Optional
 
 from . import lattice, poly
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
-from .intmat import IntMatrix, charpoly, det_adjugate, evaluate
+from .intmat import IntMatrix, charpoly, det, det_adjugate, evaluate
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
+_MISMATCH = "F and G must have equal dimensions"
 _SINGULAR = "chain iteration needs nonsingular F and G"
 
 
@@ -134,20 +141,6 @@ class _Side(NamedTuple):
     c: int
 
 
-def _pair(f: IntMatrix, g: IntMatrix) -> tuple[tuple[int, IntMatrix], tuple[int, IntMatrix]]:
-    """Check the pair and return (det F, adj F) and (det G, adj G).
-
-    Each matrix's det and adjugate come from one fraction-free Gauss-Jordan
-    pass, `det_adjugate`.
-    """
-    if f.dim != g.dim:
-        raise DimensionMismatch("F and G must have equal dimensions")
-    (df, adj_f), (dg, adj_g) = det_adjugate(f), det_adjugate(g)
-    if df == 0 or dg == 0:
-        raise SingularMatrix(_SINGULAR)
-    return (df, adj_f), (dg, adj_g)
-
-
 def _side(f: IntMatrix, dg: int, adj_g: IntMatrix) -> _Side:
     """The forward side of (F, G) from F and the det and adjugate of G,
     the only side `decide_density` builds; _side(g, det F, adj F) is the
@@ -167,10 +160,16 @@ def step_pos(f: IntMatrix, g: IntMatrix, l: lattice.RationalLattice) -> lattice.
 
     step_pos(g, f, l) is the backward level, the F-preimage of the G-image.
     It folds the rows of B F^T adj(G)^T and D adj(G)^T, with l = span(B)/D.
+    G's det and adjugate come from one `det_adjugate` pass, which stops at
+    a singular G; F needs only its Bareiss det, to be checked nonzero.
     """
     if l.dim != f.dim:
         raise DimensionMismatch("lattice and matrices differ in dimension")
-    _, (dg, adj_g) = _pair(f, g)
+    if f.dim != g.dim:
+        raise DimensionMismatch(_MISMATCH)
+    dg, adj_g = det_adjugate(g)
+    if dg == 0 or det(f) == 0:
+        raise SingularMatrix(_SINGULAR)
     rows = [*(l.basis @ _step(f, adj_g)).rows,
             *([l.denom * x for x in row] for row in adj_g.transpose().rows)]
     return lattice.from_rational_rows(l.dim, l.denom * abs(dg), rows)
@@ -217,19 +216,29 @@ def annihilator_step_pos(f: IntMatrix, g: IntMatrix,
 
     Derived from <m, G^{-1} y> = <G^{-T} m, y>; must agree with
     dual_annihilator(step_pos(f, g, dual of M)), which the tests enforce.
+    The pair is checked by two Bareiss dets; no adjugate is built.
     """
-    _pair(f, g)  # raises on a mismatched or singular pair
+    if f.dim != g.dim:
+        raise DimensionMismatch(_MISMATCH)
+    if det(f) == 0 or det(g) == 0:
+        raise SingularMatrix(_SINGULAR)
     inter = lattice.dual_annihilator(lattice.pushforward(f, lattice.dual_lattice(m)))
     return lattice.sublattice_transform(inter, g.transpose())
 
 
 def compute_chain(f: IntMatrix, g: IntMatrix, depth: int) -> ChainTrace:
-    """Fill every level 0..depth; no early exit."""
-    (df, adj_f), (dg, adj_g) = _pair(f, g)  # raises on a mismatched or singular pair
+    """Fill every level 0..depth; no early exit.
+
+    The forward level-1 `step_pos` call checks the pair. The later levels
+    need both adjugates, so each matrix takes two `det_adjugate` passes and
+    one Bareiss det in all.
+    """
+    z = lattice.standard(f.dim)
+    first = step_pos(f, g, z)  # raises on a mismatched or singular pair
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    z = lattice.standard(f.dim)
-    pos = [z, *_levels(_step(f, adj_g), dg, step_pos(f, g, z), depth)]
+    (df, adj_f), (dg, adj_g) = det_adjugate(f), det_adjugate(g)
+    pos = [z, *_levels(_step(f, adj_g), dg, first, depth)]
     neg = [z, *_levels(_step(g, adj_f), df, step_pos(g, f, z), depth)]
     joins = lattice.joins(pos, neg)
     annihilators = lattice.dual_annihilators(joins)
@@ -373,7 +382,7 @@ def decide_density(f: IntMatrix, g: IntMatrix) -> DensityVerdict:
     the denominator at step d divides e.
     """
     if f.dim != g.dim:
-        raise DimensionMismatch("F and G must have equal dimensions")
+        raise DimensionMismatch(_MISMATCH)
     dg, adj_g = det_adjugate(g)
     if dg == 0:
         raise SingularMatrix(_SINGULAR)

@@ -9,7 +9,9 @@ couple dozen levels even in dimension one.
 Two exact kernels serve everything but the normal forms: `det_adjugate`,
 a fraction-free Gauss-Jordan pass in O(d^3) operations, and `charpoly`,
 Newton's identities over the power sums tr(m^k), which take O(sqrt(d))
-matrix products. `det` is fraction-free Bareiss elimination alone.
+matrix products. `det` is fraction-free Bareiss elimination alone. The
+Gauss-Jordan pass stops at a singular matrix; only `adjugate` goes on, by
+Cayley-Hamilton over `charpoly`.
 """
 
 from __future__ import annotations
@@ -212,18 +214,18 @@ def evaluate(p: Sequence[int], m: IntMatrix) -> IntMatrix:
     return IntMatrix._of(tuple(map(tuple, acc)))
 
 
-def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
+def det_adjugate(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:
     """(det(m), adj(m)) by fraction-free Gauss-Jordan elimination on [m | I]
-    (Bareiss, Math. Comp. 22, 1968), in O(d^3) operations.
+    (Bareiss, Math. Comp. 22, 1968), in O(d^3) operations; (0, None) for a
+    singular m.
 
     Step k clears column k in every row but the pivot row k by
     row <- (p row - row[k] pivot_row) / prev, with p the pivot and prev the
     one before it; the division is exact over Z. The last pivot is det(P m)
     for the permutation P of the row swaps, and the right half ends as
-    det(P m) (P m)^-1 P, which is adj(m) times the sign of P. A singular m,
-    whose pivot search runs out, gets its adjugate by Cayley-Hamilton
-    instead: adj(m) = (-1)^(d-1) q(m) with q(x) = (chi(x) - chi(0)) / x for
-    chi = charpoly(m).
+    det(P m) (P m)^-1 P, which is adj(m) times the sign of P. The pivot
+    search runs out exactly when m is singular, and the pass stops there:
+    every caller but `adjugate` rejects a singular matrix.
     """
     d = len(m.rows)
     # each row of [I | m] with the m part reversed, so that column k of m is
@@ -244,7 +246,7 @@ def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
                     sign = -sign
                     break
             else:
-                return 0, evaluate([(-1) ** (d - 1) * c for c in charpoly(m)[:-1]], m)
+                return 0, None
         top = w[k]
         p = top.pop()
         for i, row in enumerate(w):
@@ -261,8 +263,16 @@ def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:
-    """The adj with m @ adj == det(m) * I, singular m included."""
-    return det_adjugate(m)[1]
+    """The adj with m @ adj == det(m) * I, singular m included.
+
+    A nonsingular m takes `det_adjugate`'s pass. A singular one gets its
+    adjugate by Cayley-Hamilton: adj(m) = (-1)^(d-1) q(m) with
+    q(x) = (chi(x) - chi(0)) / x for chi = charpoly(m).
+    """
+    adj = det_adjugate(m)[1]
+    if adj is None:
+        adj = evaluate([(-1) ** (len(m.rows) - 1) * c for c in charpoly(m)[:-1]], m)
+    return adj
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

@@ -16,7 +16,7 @@ from helpers import (
     rand_unimodular,
     seeded,
 )
-from qsimp import chain, cli, intmat, lattice, poly
+from qsimp import chain, cli, intmat, lattice, poly, simplicity
 from qsimp.chain import (
     DENSE,
     NOT_DENSE,
@@ -188,15 +188,53 @@ def test_decide_density_computes_each_det_and_adjugate_once(monkeypatch):
     assert eliminations == {"qsimp.chain": 1} and walks == {"qsimp.chain": 1}
 
 
-def test_compute_chain_adjugate_passes_do_not_grow_with_depth(monkeypatch):
+def test_singular_pairs_raise_before_any_adjugate(monkeypatch):
     passes = count_passes(monkeypatch, "det_adjugate")
+    dets = count_passes(monkeypatch, "det")
+    charpolys = count_passes(monkeypatch, "charpoly")
+    evaluations = count_calls(monkeypatch, (intmat, chain, lattice, simplicity), "evaluate")
+    # a trace computes each matrix's det and adjugate twice, by one pass
+    # of its own and one in a level-1 step_pos call, and its Bareiss det
+    # once, in the other level-1 step_pos call, at every depth
     f, g = IntMatrix([[2, 1], [1, 3]]), IntMatrix([[3, 0], [1, 1]])
-    counts = []
     for depth in (1, 24):
         passes.clear()
+        dets.clear()
         compute_chain(f, g, depth)
-        counts.append(sum(passes.values()))
-    assert counts[0] == counts[1] > 0
+        assert passes == {f: 2, g: 2} and dets == {f: 1, g: 1}
+    assert not charpolys and not evaluations
+    # a singular matrix stops its det_adjugate pass at the missing pivot,
+    # and every entry point raises its error before it reads an adjugate,
+    # so none builds one by Cayley-Hamilton
+    sing = IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    reg = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 2]])
+    z, ann = standard(3), sublattice_from_rows(3, IntMatrix.identity(3).rows)
+    chain_msg = "chain iteration needs nonsingular F and G"
+    both = ((sing, reg), (reg, sing))
+    for a, b in both:
+        for entry, arg in ((compute_chain, 4), (step_pos, z), (annihilator_step_pos, ann)):
+            with pytest.raises(SingularMatrix, match=chain_msg):
+                entry(a, b, arg)
+    with pytest.raises(SingularMatrix, match=chain_msg):
+        decide_density(reg, sing)
+    with pytest.raises(SingularMatrix, match="preimage needs det != 0"):
+        preimage(sing, z)
+    with pytest.raises(SingularMatrix, match=r"normalize needs det\(F\) != 0"):
+        simplicity.normalize(sing, reg)
+    with pytest.raises(ValueError, match="matrix is not unimodular"):
+        intmat.unimodular_inverse(sing)
+    for a, b in both:
+        job = {"command": "trace", "d": 3, "F": [list(r) for r in a.rows],
+               "G": [list(r) for r in b.rows], "max_depth": 4}
+        assert cli.run(cli.parse_job(json.dumps(job))) == (
+            1, '{"status":"Error","error":"SingularMatrix","message":"' + chain_msg + '"}')
+    assert not charpolys and not evaluations
+    # decide_density reads det F off the pencil's constant term, det(-F):
+    # its one characteristic polynomial is the forward side's, not F's
+    with pytest.raises(SingularMatrix, match=chain_msg):
+        decide_density(sing, reg)
+    assert sum(charpolys.values()) == 1 and sing not in charpolys
+    assert not evaluations
 
 
 def test_compute_chain_hnf_count(monkeypatch):
@@ -593,7 +631,7 @@ def _factor_pairs():
 
 def _sides(f, g):
     """The forward and backward density sides of (F, G)."""
-    (df, adj_f), (dg, adj_g) = chain._pair(f, g)
+    (df, adj_f), (dg, adj_g) = intmat.det_adjugate(f), intmat.det_adjugate(g)
     return chain._side(f, dg, adj_g), chain._side(g, df, adj_f)
 
 

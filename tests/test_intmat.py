@@ -84,8 +84,14 @@ def test_det_adjugate_matches_cofactor_oracle_by_rank():
         right = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(r)]
         rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
                 for row in left] if r else [[0] * d for _ in range(d)]
-        dt, adj = det_adjugate(IntMatrix(rows))
+        m = IntMatrix(rows)
+        dt, adj = det_adjugate(m)
         assert dt == det_oracle(rows)
+        # the pass stops at a singular m; adjugate goes on by Cayley-Hamilton
+        assert (adj is None) == (dt == 0)
+        if adj is not None:
+            assert [list(row) for row in adj.rows] == adj_oracle(rows)
+        adj = adjugate(m)
         assert [list(row) for row in adj.rows] == adj_oracle(rows)
         # adj(m) is 0 exactly when the rank is at most d - 2
         rank = "d" if dt else ("d-1" if any(map(any, adj.rows)) else "<=d-2")
@@ -93,13 +99,26 @@ def test_det_adjugate_matches_cofactor_oracle_by_rank():
     assert min(ranks.values()) >= 30 and len(ranks) == 3
 
 
-def test_det_adjugate_needs_charpoly_only_when_singular(monkeypatch):
-    calls = count_calls(monkeypatch, (intmat,), "charpoly")
-    assert det_adjugate(IntMatrix([[0, 1, 2], [3, 0, 1], [1, 1, 0]]))[0] == 7
-    assert not calls
-    assert det_adjugate(IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == (
-        0, IntMatrix([[-2, 1, 0], [-2, 1, 0], [2, -1, 0]]))
-    assert calls["qsimp.intmat"] == 1
+def test_adjugate_needs_charpoly_only_when_singular(monkeypatch):
+    charpolys = count_calls(monkeypatch, (intmat,), "charpoly")
+    evaluations = count_calls(monkeypatch, (intmat,), "evaluate")
+    regular = IntMatrix([[0, 1, 2], [3, 0, 1], [1, 1, 0]])
+    singular = IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert det_adjugate(regular)[0] == 7
+    assert adjugate(regular) == det_adjugate(regular)[1]
+    # det_adjugate stops at the missing pivot and builds no adjugate
+    assert det_adjugate(singular) == (0, None)
+    assert not charpolys and not evaluations
+    assert adjugate(singular) == IntMatrix([[-2, 1, 0], [-2, 1, 0], [2, -1, 0]])
+    assert charpolys == evaluations == {"qsimp.intmat": 1}
+    # det is 0 exactly when det_adjugate answers (0, None), at every rank
+    rng = seeded(37)
+    for _ in range(60):
+        d = rng.randint(1, 5)
+        m = rand_matrix(rng, d, -2, 2)
+        dt, adj = det_adjugate(m)
+        assert dt == det(m) and (adj is None) == (dt == 0)
+    assert charpolys == evaluations == {"qsimp.intmat": 1}
 
 
 def test_charpoly_matrix_products(monkeypatch):
@@ -140,7 +159,7 @@ def test_evaluate_matches_horner_from_the_scalar_matrix():
     m = IntMatrix([[2, -1], [3, 4]])
     assert evaluate([7], m) == IntMatrix.scalar(2, 7)
     assert evaluate([-2, 5], m) == IntMatrix([[1, 2], [-6, -3]])
-    # det_adjugate's singular route evaluates (-1)^(d-1) times charpoly
+    # adjugate's singular route evaluates (-1)^(d-1) times charpoly
     # without its constant term, so with a leading -1 at even d; m is a
     # rank-one matrix, singular for d >= 2
     for d in (1, 2, 3, 4):
@@ -148,7 +167,8 @@ def test_evaluate_matches_horner_from_the_scalar_matrix():
         p = [(-1) ** (d - 1) * c for c in charpoly(m)[:-1]]
         assert evaluate(p, m) == _horner_from_scalar(p, m)
         if d > 1:
-            assert det_adjugate(m) == (0, evaluate(p, m))
+            assert det_adjugate(m) == (0, None)
+            assert adjugate(m) == evaluate(p, m)
 
 
 def hnf(m):
