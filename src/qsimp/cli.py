@@ -300,21 +300,49 @@ def _run_line(args: tuple[str, str]) -> tuple[int, str]:
     return run(job)
 
 
+def _affinity() -> Optional[list]:
+    """The CPUs this process may run on, sorted, or None where the platform
+    cannot tell."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform that forks
+        return None
+
+
 def _workers(jobs: int, lines: int) -> int:
     """Processes for `--jobs jobs`: at most one per line and one per usable
     CPU, and 1 where the platform cannot fork."""
     if not hasattr(os, "fork"):
         return 1
+    cpus = _affinity()
+    usable = len(cpus) if cpus is not None else os.cpu_count() or 1
+    return max(1, min(jobs, lines, usable))
+
+
+def _place(k: int, cpus: Optional[list]) -> None:
+    """Move this process to cpus[k], then give it back all of `cpus`.
+
+    A forked child starts on its parent's CPU, and a scheduler may leave it
+    there for longer than a whole batch takes, so two shares would run one
+    after the other. The first call moves the process; the second lets the
+    scheduler move it again later, so nothing stays pinned. A hint only:
+    where the platform has no affinity call, or refuses it, the process
+    runs where it is.
+    """
+    if cpus is None or not hasattr(os, "sched_setaffinity"):
+        return
     try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform that forks
-        cpus = os.cpu_count() or 1
-    return max(1, min(jobs, lines, cpus))
+        # modulo: the set may have shrunk since `_workers` counted it
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
-def _fork_share(share: list):
-    """Fork a child that runs `share` and writes its results to a pipe as
-    marshal bytes; returns (pid, read end), or None if no child started."""
+def _fork_share(share: list, k: int, cpus: Optional[list]):
+    """Fork a child that moves to cpus[k] (`_place`), runs `share` and
+    writes its results to a pipe as marshal bytes; returns (pid, read end),
+    or None if no child started."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -328,6 +356,7 @@ def _fork_share(share: list):
         code = 1
         try:
             os.close(rfd)
+            _place(k, cpus)
             with open(wfd, "wb") as pipe:
                 pipe.write(marshal.dumps([_run_line(t) for t in share]))
             code = 0
@@ -343,16 +372,22 @@ def _run_batch(tagged: list, workers: int) -> list:
 
     Share k is tagged[k::workers], so a batch ordered from cheap to costly
     splits evenly. Forked children run shares 1 .. workers-1 while this
-    process runs share 0. A share whose child exits nonzero, or whose bytes
-    are not a list of one result per line, runs here again, so the results
-    do not depend on `workers`. Every child is reaped before this returns.
+    process runs share 0. With more than one worker, each process first
+    moves to its own CPU of the sorted affinity set, share k to the k-th,
+    and at once gets the whole set back (`_place`): a hint, best effort,
+    that leaves nothing pinned. A share whose child exits nonzero, or whose
+    bytes are not a list of one result per line, runs here again, so the
+    results do not depend on `workers`. Every child is reaped before this
+    returns.
     """
     results = [None] * len(tagged)
     children = []  # (pid, read end) of shares 1, 2, ...
     blobs, statuses = [], []
+    cpus = _affinity() if workers > 1 else None
+    _place(0, cpus)
     try:
         for k in range(1, workers):
-            child = _fork_share(tagged[k::workers])
+            child = _fork_share(tagged[k::workers], k, cpus)
             if child is None:  # no more processes: the rest run here
                 break
             children.append(child)

@@ -63,11 +63,18 @@ class FiniteQuiver:
 
     @cached_property
     def _targets(self) -> list[frozenset[int]]:
-        """targets[y] = ranges of the edges with source y."""
-        out = [set() for _ in range(self.m)]
-        for x, y in self.edges():
-            out[y].add(x)
-        return [frozenset(s) for s in out]
+        """targets[y] = ranges of the edges with source y.
+
+        The same relation as `edges()`, read in O(m): x is a range of y
+        exactly when b*x mod m equals a*y mod m, so the ranges of y are the
+        bucket of x by b*x mod m at a*y mod m.
+        """
+        m, a, b = self.m, self.a, self.b
+        buckets = [[] for _ in range(m)]
+        for x in range(m):
+            buckets[b * x % m].append(x)
+        sets = list(map(frozenset, buckets))
+        return [sets[a * y % m] for y in range(m)]
 
 
 def condition_L_finite(q: FiniteQuiver) -> bool:

@@ -408,6 +408,18 @@ def _mixed_batch(rng, n):
     return lines
 
 
+@pytest.fixture(autouse=True)
+def _keep_affinity():
+    """Give this process back its CPUs after each test, so that a share
+    left pinned in one test does not cap the workers of the next."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    setaffinity, cpus = os.sched_setaffinity, os.sched_getaffinity(0)
+    yield
+    setaffinity(0, cpus)
+
+
 def _uncapped(monkeypatch):
     """Let --jobs N fork N - 1 children on a host with fewer CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
@@ -424,6 +436,19 @@ def _count_forks(monkeypatch):
     return forks
 
 
+def _lines_run_here(monkeypatch):
+    """The lines that `_run_line` runs in this process, in order."""
+    parent, run_line, here = os.getpid(), cli._run_line, []
+
+    def counted(args):
+        if os.getpid() == parent:
+            here.append(args[0])
+        return run_line(args)
+
+    monkeypatch.setattr(cli, "_run_line", counted)
+    return here
+
+
 def _assert_no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -431,19 +456,26 @@ def _assert_no_children_left():
 
 def test_main_jobs_2_matches_jobs_1(tmp_path, capsys, monkeypatch):
     # every stride from 2 to 4, in both formats: text payloads span lines
+    # with 8 CPUs faked on a smaller host, the placement of shares past the
+    # real CPUs fails, and no share runs twice
     _uncapped(monkeypatch)
     forks = _count_forks(monkeypatch)
+    here = _lines_run_here(monkeypatch)
+    batch = _mixed_batch(seeded(71), 240)
     path = tmp_path / "jobs.jsonl"
-    path.write_text("\n".join(_mixed_batch(seeded(71), 240)) + "\n")
+    path.write_text("\n".join(batch) + "\n")
     for fmt in ("json", "text"):
         code_1 = main(["--input", str(path), "--jobs", "1", "--format", fmt])
         out_1 = capsys.readouterr().out
         assert forks == []
+        here.clear()
         for jobs in (2, 3, 4):
             code = main(["--input", str(path), "--jobs", str(jobs), "--format", fmt])
             assert (code, capsys.readouterr().out) == (code_1, out_1)
             assert len(forks) == jobs - 1
+            assert here == batch[0::jobs]
             forks.clear()
+            here.clear()
         if fmt == "json":
             assert len(out_1.splitlines()) == 240
     _assert_no_children_left()
@@ -559,6 +591,78 @@ def test_interrupted_parent_reaps_its_children(tmp_path, capsys, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         _main_on(tmp_path, capsys, lines, "--jobs", "3")
     assert time.monotonic() - start < 30
+    _assert_no_children_left()
+
+
+def _record_placement(monkeypatch, error=None):
+    """Replace os.sched_setaffinity by a recorder of (pid, sorted CPUs),
+    which raises `error` if one is given. A forked child inherits it and
+    appends to its own copy of the record, which is returned."""
+    calls = []
+
+    def recorder(pid, cpus):
+        assert pid == 0
+        calls.append((os.getpid(), sorted(cpus)))
+        if error is not None:
+            raise error
+
+    monkeypatch.setattr(os, "sched_setaffinity", recorder, raising=False)
+    return calls
+
+
+def test_each_share_moves_to_its_own_cpu_then_gets_all_back(tmp_path, capsys, monkeypatch):
+    # every process answers each line with the affinity calls it made
+    _uncapped(monkeypatch)
+    calls = _record_placement(monkeypatch)
+    own = lambda args: (0, repr([cpus for pid, cpus in calls if pid == os.getpid()]))
+    monkeypatch.setattr(cli, "_run_line", own)
+    lines = [job_line(k=k) for k in range(10)]
+    code, out = _main_on(tmp_path, capsys, lines, "--jobs", "4")
+    assert code == 0
+    assert out == [repr([[k % 4], list(range(8))]) for k in range(10)]
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("case", ["jobs-1", "one-cpu", "no-affinity-call"])
+def test_no_placement_without_a_second_process_or_the_call(tmp_path, capsys, monkeypatch, case):
+    lines = _mixed_batch(seeded(9), 24)
+    expected = _main_on(tmp_path, capsys, lines, "--jobs", "1")
+    calls = _record_placement(monkeypatch)
+    _uncapped(monkeypatch)
+    forks = _count_forks(monkeypatch)
+    jobs = "1" if case == "jobs-1" else "3"
+    if case == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    elif case == "no-affinity-call":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    assert _main_on(tmp_path, capsys, lines, "--jobs", jobs) == expected
+    assert calls == []
+    assert len(forks) == (2 if case == "no-affinity-call" else 0)
+    _assert_no_children_left()
+
+
+def test_refused_placement_changes_nothing(tmp_path, capsys, monkeypatch):
+    # the children stay where they are and exit 0, so no share runs twice
+    _uncapped(monkeypatch)
+    lines = _mixed_batch(seeded(9), 24)
+    expected = _main_on(tmp_path, capsys, lines, "--jobs", "1")
+    calls = _record_placement(monkeypatch, OSError(22, "Invalid argument"))
+    here = _lines_run_here(monkeypatch)
+    assert _main_on(tmp_path, capsys, lines, "--jobs", "3") == expected
+    assert here == lines[0::3]
+    assert calls == [(os.getpid(), [0])]
+    _assert_no_children_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity calls")
+def test_main_leaves_the_affinity_as_it_found_it(tmp_path, capsys, monkeypatch):
+    # every process answers each line with the CPUs it may run on: a share
+    # left pinned would read one CPU
+    before = os.sched_getaffinity(0)
+    monkeypatch.setattr(cli, "_run_line", lambda args: (0, repr(sorted(os.sched_getaffinity(0)))))
+    code, out = _main_on(tmp_path, capsys, [job_line(k=k) for k in range(6)], "--jobs", "2")
+    assert out == [repr(sorted(before))] * 6
+    assert os.sched_getaffinity(0) == before
     _assert_no_children_left()
 
 

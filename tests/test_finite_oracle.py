@@ -22,6 +22,19 @@ def test_edges_match_definition():
     }
 
 
+def test_targets_match_edges():
+    # the bucketed targets are the relation edges() lists, non-units and
+    # multipliers equal to 0 included
+    for m in range(1, 21):
+        for a in range(m):
+            for b in range(m):
+                q = FiniteQuiver(m, a, b)
+                want = [set() for _ in range(m)]
+                for x, y in q.edges():
+                    want[y].add(x)
+                assert q._targets == want, (m, a, b)
+
+
 def test_condition_L_examples():
     assert condition_L_finite(FiniteQuiver(1, 1, 1)) is False
     assert condition_L_finite(FiniteQuiver(4, 1, 2)) is True

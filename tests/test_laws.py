@@ -6,17 +6,24 @@ statement. So the status must not change when the pair is swapped (units
 are closed under inversion), when both matrices are transposed (G^-1 F is
 similar to F G^-1), when one matrix is negated, or under (H F, H G) and
 (F H, G H) for a nonsingular H; and a block sum is Simple exactly when
-every block is. Each check compares `decide` statuses alone, on seeded
-pairs from every rule family.
+every block is. Each check compares `decide` statuses, on seeded pairs from
+every rule family. Where the status is NotSimple, the witness character of
+each mapped pair must also lie in the annihilator of every level of that
+pair's chain up to WITNESS_DEPTH.
 """
 
 import functools
+from collections import Counter
 
 import pytest
 
 from helpers import block_sum, rand_matrix, rand_unimodular, seeded
+from qsimp.chain import compute_chain
 from qsimp.intmat import IntMatrix, det
+from qsimp.lattice import sublattice_contains
 from qsimp.simplicity import NOT_SIMPLE, SIMPLE, decide
+
+WITNESS_DEPTH = 30
 
 
 def _nonsingular(rng, d, lo, hi):
@@ -67,23 +74,43 @@ def _neg(m):
     return IntMatrix([[-x for x in row] for row in m.rows])
 
 
+def _keeps(law, pair, status) -> bool:
+    """Assert that `pair` decides to `status`, and for NotSimple that its
+    witness annihilates every level up to WITNESS_DEPTH. Only R1 gives no
+    witness: both matrices are unimodular, so every level is Z^d. Returns
+    whether a witness was checked."""
+    v = decide(*pair)
+    assert v.status == status, (law, pair)
+    if status != NOT_SIMPLE:
+        return False
+    if v.witness is None:
+        assert v.rules_fired[0][0] == "R1-automorphisms", (law, pair)
+        return False
+    trace = compute_chain(*pair, WITNESS_DEPTH)
+    assert all(sublattice_contains(a, v.witness) for a in trace.annihilators), (law, pair)
+    return True
+
+
 @pytest.mark.parametrize("law, mapped", [
     ("transpose both", lambda f, g: (f.transpose(), g.transpose())),
     ("negate F", lambda f, g: (_neg(f), g)),
     ("negate G", lambda f, g: (f, _neg(g))),
 ])
 def test_status_survives_transpose_and_sign(law, mapped):
-    for (f, g), status in _pairs(181, 400, range(1, 7)):
-        assert decide(*mapped(f, g)).status == status, (law, f, g)
+    witnessed = sum(_keeps(law, mapped(f, g), status)
+                    for (f, g), status in _pairs(181, 400, range(1, 7)))
+    assert witnessed >= 50
 
 
 def test_status_survives_swap_and_products():
     rng = seeded(191)
+    witnessed = Counter()
     for (f, g), status in _pairs(193, 300, range(1, 9)):
-        assert decide(g, f).status == status, ("swap", f, g)
         h = _nonsingular(rng, f.dim, -2, 2)
-        assert decide(h @ f, h @ g).status == status, ("H F, H G", f, g, h)
-        assert decide(f @ h, g @ h).status == status, ("F H, G H", f, g, h)
+        for law, pair in (("swap", (g, f)), ("H F, H G", (h @ f, h @ g)),
+                          ("F H, G H", (f @ h, g @ h))):
+            witnessed[law] += _keeps(law, pair, status)
+    assert min(witnessed.values()) >= 50, witnessed
 
 
 def test_block_sum_is_simple_exactly_when_every_block_is():
