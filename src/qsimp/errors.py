@@ -50,8 +50,10 @@ class ConsistencyError(QsimpError):
 
 
 class OutputTooLarge(QsimpError):
-    """A job's result holds an integer past the interpreter's limit on
-    integer-to-string conversion, so it cannot be printed."""
+    """A job's result is too large to print: it holds an integer past the
+    interpreter's limit on integer-to-string conversion, or it is a
+    presentation whose index set has more than presentation.MAX_INDICES
+    multi-indices."""
 
     code = "OutputTooLarge"
 

@@ -1,9 +1,9 @@
 """Desk-scale ground truth on finite cyclic groups and the 1-torus.
 
 Everything in this module is deliberately literal: quivers are materialized
-edge by edge, closures iterate the definitions, and the subgroup chains are
-set-valued. The point is to cross-check the lattice machinery against
-computations too dumb to share its bugs.
+edge by edge, condition (L) and the closures follow their definitions, and
+the subgroup chains are set-valued. The point is to cross-check the lattice
+machinery against computations too dumb to share its bugs.
 
 The density-minimality equivalence this module sweeps is a finite-group
 specialization of a compact-group statement; the finite case follows the
@@ -78,32 +78,19 @@ class FiniteQuiver:
 
 
 def condition_L_finite(q: FiniteQuiver) -> bool:
-    """True when no loop is exit-free.
-
-    An exit-free loop can only pass through vertices of out-degree one, so
-    the search walks the functional part of the quiver; any cycle found
-    there is a loop without exits.
+    """Condition (L): no loop is exit-free, that is, no vertex comes back to
+    itself within m steps along single out-edges. Each vertex of an exit-free
+    loop has one edge out, the loop's own, and a loop has at most m vertices.
     """
     targets = q._targets
-    functional = {y for y in range(q.m) if len(targets[y]) == 1}
-    state = [0] * q.m  # 0 unvisited, 1 on stack, 2 done
-    for start in functional:
-        if state[start]:
-            continue
-        path = []
+    for start in range(q.m):
         v = start
-        while True:
-            if v not in functional:
+        for _ in range(q.m):
+            if len(targets[v]) != 1:
                 break
-            if state[v] == 1:
-                return False  # cycle of out-degree-one vertices: no exit
-            if state[v] == 2:
-                break
-            state[v] = 1
-            path.append(v)
             (v,) = targets[v]
-        for w in path:
-            state[w] = 2
+            if v == start:
+                return False
     return True
 
 
@@ -112,23 +99,16 @@ def _closure(q: FiniteQuiver, v: int) -> frozenset[int]:
 
     Hereditary: a source in the set pulls in the ranges of its edges.
     Saturated: a regular vertex whose edge ranges all lie in the set joins
-    it. Iterates to a joint fixed point.
+    it. Each round takes both steps; the first that adds nothing stops.
     """
     targets = q._targets
-    full = frozenset(range(q.m))
-    u = {v}
+    u = frozenset([v])
     while True:
-        grown = set(u)
-        for y in list(grown):
-            grown |= targets[y]
-        for x in range(q.m):
-            if x not in grown and targets[x] and targets[x] <= grown:
-                grown.add(x)
+        grown = u.union(*[targets[y] for y in u])
+        grown |= {x for x in range(q.m) if targets[x] and targets[x] <= grown}
         if grown == u:
-            return frozenset(u)
+            return u
         u = grown
-        if len(u) == q.m:
-            return full
 
 
 def minimal_finite(q: FiniteQuiver) -> bool:

@@ -29,7 +29,9 @@ class IntMatrix:
 
     Entries go through operator.index, which takes int, bool and NumPy
     integers and raises TypeError on a float, a string or anything else
-    that is not an integer, instead of truncating it.
+    that is not an integer, instead of truncating it. Setting or deleting
+    an attribute raises AttributeError, so the hash of a matrix used as a
+    key never changes.
     """
 
     __slots__ = ("rows",)
@@ -106,6 +108,16 @@ class IntMatrix:
 
     def __hash__(self) -> int:
         return hash(self.rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntMatrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"IntMatrix is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle would otherwise restore the slot through setattr
+        return IntMatrix._of, (self.rows,)
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]})"

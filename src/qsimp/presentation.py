@@ -12,10 +12,21 @@ import json
 from itertools import product
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatch, NonPositiveDiagonal, SingularMatrix, UnsupportedFormat
+from .errors import (
+    DimensionMismatch,
+    NonPositiveDiagonal,
+    OutputTooLarge,
+    SingularMatrix,
+    UnsupportedFormat,
+)
 from .intmat import IntMatrix, det, snf
 
 UNITARY_NOTE = "commuting unitaries with full spectrum"
+# bound on |det F|, the number of multi-indices, which a result prints
+# twice (index_set and the monomial relations) and holds in memory whole.
+# At the bound the json of 512*I_2 is 5.0 MB, about what a trace at the
+# largest max_depth prints; a line with |det F| of 7.7 * 10^8 ran out of memory
+MAX_INDICES = 1 << 18
 
 
 class RelationGroup(NamedTuple):
@@ -48,12 +59,19 @@ def present(f: IntMatrix, g: IntMatrix, toeplitz: bool = False) -> Presentation:
     diagonal D and G by P G Q, a verdict-preserving move recorded in the
     transform transcript, which writes F = U D V with U = P^{-1} and
     V = Q^{-1}. Already-diagonal positive F passes through untouched.
-    F and G of different sizes raise DimensionMismatch.
+    F and G of different sizes raise DimensionMismatch. The index set has
+    |det F| multi-indices; past MAX_INDICES this raises OutputTooLarge
+    before the Smith decomposition or the index set is built.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("F and G must have equal dimensions")
-    if det(f) == 0 or det(g) == 0:
+    det_f = det(f)
+    if det_f == 0 or det(g) == 0:
         raise SingularMatrix("presentation needs nonsingular matrices")
+    if abs(det_f) > MAX_INDICES:
+        raise OutputTooLarge(
+            f"the index set has |det F| multi-indices, more than {MAX_INDICES}"
+        )
     d = f.dim
     if f.is_diagonal() and all(f.rows[i][i] > 0 for i in range(d)):
         diag = tuple(f.rows[i][i] for i in range(d))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import marshal
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import rand_matrix, rand_nonsingular, seeded
-from qsimp import cli
+from qsimp import cli, errors, presentation
 from qsimp.cli import main, parse_job, run
 from qsimp.errors import DimensionMismatch, ParseError
 from qsimp.intmat import IntMatrix
@@ -840,6 +843,179 @@ def test_result_past_the_digit_limit_is_an_output_too_large_line(tmp_path, capsy
                                       "message": message}
         assert out[k + 2] == f"error[OutputTooLarge]: {message}"
         assert json.loads(out[k + 1])["status"] == json.loads(out[k + 3])["status"] == "Simple"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_present_past_the_index_set_cap_is_one_output_too_large_line(tmp_path, capsys,
+                                                                    monkeypatch, jobs):
+    cap = presentation.MAX_INDICES
+    build = presentation.index_set
+
+    def index_set(diag):  # the forked shares inherit it
+        if math.prod(diag) > cap:  # with a broken cap, the 10**9 lines would exhaust memory
+            raise AssertionError("index set past the cap")
+        return build(diag)
+
+    monkeypatch.setattr(presentation, "index_set", index_set)
+    message = f"the index set has |det F| multi-indices, more than {cap}"
+    past = [job_line(command="present", d=1, F=[[cap + 1]], G=[[3]]),
+            job_line(command="present", d=1, F=[[10**9]], G=[[3]], output="text"),
+            job_line(command="present", d=2, F=[[10**9, 1], [0, -3]], G=[[3, 0], [0, 3]])]
+    normal = job_line(command="present", d=2, F=[[300, 0], [0, 300]], G=[[3, 0], [0, 3]])
+    start = time.perf_counter()
+    code, out = _main_on(tmp_path, capsys, past, "--jobs", jobs)
+    assert time.perf_counter() - start < 1
+    error = {"status": "Error", "error": "OutputTooLarge", "message": message}
+    assert code == 1
+    assert out == [json.dumps(error, separators=(",", ":")),
+                   f"error[OutputTooLarge]: {message}",
+                   json.dumps(error, separators=(",", ":"))]
+    # at the cap a presentation prints, in a batch with a line past it
+    lines = [job_line(command="present", d=1, F=[[cap]], G=[[3]]), past[0], normal]
+    code, out = _main_on(tmp_path, capsys, lines, "--jobs", jobs)
+    assert code == 1 and len(out) == 3
+    assert len(json.loads(out[0])["presentation"]["index_set"]) == cap
+    assert json.loads(out[1]) == error
+    assert json.loads(out[2])["presentation"]["diag"] == [300, 300]
+
+
+DECIDE = {"command": "decide", "d": 1, "F": [[2]], "G": [[3]]}
+EYE = [[1, 0], [0, 1]]
+
+
+def _bad_jobs():
+    """(line, error code, message) for each check of parse_job,
+    _parse_matrix and _parse_epsilon, with each kind of value it refuses."""
+    for raw in ("[]", "[1]", '"decide"', "3", "null"):
+        yield raw, "ParseError", "job must be a JSON object"
+    for d in (0, -2, "1", 1.0, True, None, [1]):
+        yield job_line(**{**DECIDE, "d": d}), "ParseError", "d must be a positive integer"
+    yield job_line(command="trace", F=[[2]], G=[[3]]), "ParseError", "d must be a positive integer"
+    yield (job_line(command="oracle", d=2, F=EYE, G=EYE), "ParseError",
+           "oracle command requires d = 1")
+    for f in ([[2, 0], [1]], [[2, 0], 5], [[2, 0], [1, 2, 3]], 5, [[2]]):
+        yield (job_line(command="decide", d=2, F=f, G=EYE), "DimensionMismatch",
+               "F must be a 2x2 matrix of integers")
+    yield (job_line(**{**DECIDE, "G": [[3], [4]]}), "DimensionMismatch",
+           "G must be a 1x1 matrix of integers")
+    for e in (True, False, [1], None, {"p": 1}):
+        yield (job_line(**DECIDE, epsilon=e), "ParseError",
+               "epsilon must be a number or a 'p/q' string")
+    for e in ("abc", "1/0", "", "1/2/3"):
+        yield job_line(**DECIDE, epsilon=e), "ParseError", f"epsilon not parseable: {e!r}"
+    for e in (0, -1, -0.5, 0.0, "0", "-1/3"):
+        yield job_line(**DECIDE, epsilon=e), "ParseError", "epsilon must be positive"
+    for n in (0, -1, "5", 2.0, True, None):
+        yield job_line(**DECIDE, max_depth=n), "ParseError", "max_depth must be a positive integer"
+    for o in ("xml", "JSON", 1, None, True):
+        yield job_line(**DECIDE, output=o), "ParseError", "output must be json or text"
+    # a job's own output key does not format its parse error
+    for t in ("yes", 1, 0, None):
+        yield (job_line(**DECIDE, output="text", toeplitz=t), "ParseError",
+               "toeplitz must be a boolean")
+    for n in (0, 65, -1, "8", 8.0, True, None):
+        yield (job_line(command="sweep", m_max=n), "ParseError",
+               "m_max must be an integer between 1 and 64")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_each_parse_check_gives_its_error_line(fmt):
+    for line, code, message in _bad_jobs():
+        if fmt == "text":
+            want = f"error[{code}]: {message}"
+        else:
+            want = json.dumps({"status": "Error", "error": code, "message": message},
+                              separators=(",", ":"))
+        assert cli._run_line((line, fmt)) == (1, want), line
+
+
+def test_parse_job_accepts_each_valid_value():
+    oracle = dict(command="oracle", d=1, F=[[2]], G=[[3]], max_depth=4)
+    for raw, want in ((1, 1), (3, 3), (0.25, Fraction(1, 4)), ("1/7", Fraction(1, 7)),
+                      ("2.5e-3", Fraction(1, 400))):
+        job = parse_job(job_line(**oracle, epsilon=raw))
+        assert type(job.epsilon) is Fraction and job.epsilon == want
+    assert run(parse_job(job_line(**oracle, epsilon=1))) == (
+        0,
+        '{"status":"dense_at_resolution","gap":"1/1296","epsilon":"1/1","depth":4,'
+        '"subgroup_order":1296}',
+    )
+    for n in (1, 64):
+        assert parse_job(job_line(command="sweep", m_max=n)).m_max == n
+    for n in (1, cli.MAX_DEPTH):
+        assert parse_job(job_line(**DECIDE, max_depth=n)).max_depth == n
+    for t in (True, False):
+        assert parse_job(job_line(**DECIDE, toeplitz=t)).toeplitz is t
+    for o in ("json", "text"):
+        assert parse_job(job_line(**DECIDE, output=o), "text").output == o
+    job = parse_job(job_line(command="sweep", d="any", F=None))
+    assert job.f is job.g is None
+
+
+ERROR_CODES = {cls.code for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.QsimpError)}
+# a value of any JSON type, ragged matrices included
+_ANY = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                 st.text(max_size=5), st.lists(st.integers(-3, 3), max_size=3),
+                 st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2))
+
+
+@st.composite
+def _job_docs(draw):
+    """A job object whose fields are each valid, but one time in ten of any
+    type or absent. Valid values stay small: d <= 3, entries in [-4, 4], m_max <= 8
+    and max_depth <= 32. m_max is never absent, since its default sweep is
+    the slowest job here."""
+    d = draw(st.integers(1, 3))
+    matrix = st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                      min_size=d, max_size=d)
+    valid = {
+        "command": st.sampled_from(cli.COMMANDS),
+        "d": st.just(d),
+        "F": matrix,
+        "G": matrix,
+        "max_depth": st.integers(1, 32),
+        "epsilon": st.one_of(st.integers(1, 5), st.floats(1e-6, 1),
+                             st.sampled_from(["1/3", "2.5e-3"])),
+        "output": st.sampled_from(["json", "text"]),
+        "toeplitz": st.booleans(),
+        "m_max": st.integers(1, 8),
+    }
+    doc = {}
+    for key, values in valid.items():
+        kind = draw(st.sampled_from(["valid"] * 18 + ["any", "absent"]))
+        if kind == "absent" and key != "m_max":
+            continue
+        doc[key] = draw(values if kind != "any" else _ANY)
+    return doc
+
+
+# three in four lines are job objects; the rest are other JSON values or
+# arbitrary text
+_LINES = st.integers(0, 3).flatmap(
+    lambda k: _job_docs().map(json.dumps) if k else st.one_of(_ANY.map(json.dumps),
+                                                              st.text(max_size=12)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(line=_LINES, fmt=st.sampled_from(["json", "text"]))
+def test_fuzzed_lines_each_give_one_result(line, fmt):
+    code, payload = cli._run_line((line, fmt))
+    assert code in (cli.EXIT_DEFINITE, cli.EXIT_ERROR, cli.EXIT_UNKNOWN)
+    try:
+        doc = json.loads(payload)
+    except ValueError:  # a text result
+        head = payload.split("\n", 1)[0]
+        assert head.startswith(("status: ", "error["))
+        error = head[len("error["):head.index("]")] if head.startswith("error[") else None
+        if error is not None:
+            assert "\n" not in payload
+    else:
+        assert type(doc) is dict and "\n" not in payload
+        error = doc["error"] if doc["status"] == "Error" else None
+    assert (error is not None) == (code == cli.EXIT_ERROR)
+    assert error is None or error in ERROR_CODES - {"Internal"}
 
 
 def test_parse_error_follows_format_text(tmp_path, capsys):

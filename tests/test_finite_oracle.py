@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from qsimp import finite_oracle
 from qsimp.errors import SingularMatrix
 from qsimp.finite_oracle import (
     FiniteQuiver,
+    _closure,
     condition_L_finite,
     density_1d,
     gamma0_finite,
@@ -44,11 +46,11 @@ def test_condition_L_examples():
 def test_condition_L_matches_kernel_triviality():
     # on finite cyclic groups, some loop is exit-free exactly when the
     # second map is a bijection
-    for m in range(1, 13):
+    for m in range(1, 25):
         for a in range(m):
             for b in range(m):
                 got = condition_L_finite(FiniteQuiver(m, a, b))
-                assert got == (math.gcd(b, m) != 1)
+                assert got == (math.gcd(b, m) != 1), (m, a, b)
 
 
 def test_minimal_finite_examples():
@@ -58,6 +60,32 @@ def test_minimal_finite_examples():
     assert minimal_finite(FiniteQuiver(5, 1, 1)) is False
     assert minimal_finite(FiniteQuiver(2, 1, 1)) is False
     assert minimal_finite(FiniteQuiver(1, 1, 1)) is True
+
+
+def test_closure_saturates_through_a_map_that_is_not_injective():
+    # in Z_4 with a = 2, b = 1 the targets of y are {2y}: 0 and 2 both go
+    # to 0, so {0} is hereditary, saturates to {0, 2}, and then every
+    # vertex's target lies in the set
+    q = FiniteQuiver(4, 2, 1)
+    assert q._targets == [{0}, {2}, {0}, {2}]
+    assert _closure(q, 0) == frozenset(range(4))
+    assert _closure(q, 1) == frozenset(range(4))
+
+
+def test_closure_and_minimality_match_the_saturated_hereditary_sets():
+    # every (m, a, b) with m <= 8, non-units and 0 included: the closure of
+    # v is the least saturated hereditary set holding v, and the quiver is
+    # minimal exactly when no such set but the empty one and Z_m exists
+    for m in range(1, 9):
+        full = frozenset(range(m))
+        for a in range(m):
+            for b in range(m):
+                q = FiniteQuiver(m, a, b)
+                members = saturated_hereditary_subsets(q)
+                for v in range(m):
+                    least = full.intersection(*[u for u in members if v in u])
+                    assert _closure(q, v) == least, (m, a, b, v)
+                assert minimal_finite(q) == (set(members) == {frozenset(), full}), (m, a, b)
 
 
 def test_gamma0_examples():
@@ -97,6 +125,7 @@ def test_finite_quiver_value_semantics():
     assert (q.m, q.a, q.b) == (4, 1, 2)
     assert q == FiniteQuiver(4, 1, 2) and hash(q) == hash(FiniteQuiver(4, 1, 2))
     assert q != FiniteQuiver(4, 1, 3)
+    assert q.__eq__((4, 1, 2)) is NotImplemented and q != (4, 1, 2)
     assert repr(q) == "FiniteQuiver(m=4, a=1, b=2)"
     with pytest.raises(ValueError):
         FiniteQuiver(0, 1, 1)
@@ -106,6 +135,23 @@ def test_verify_minimality_theorem_m1_vacuous():
     report = verify_minimality_theorem(1)
     assert report.pairs_checked == 1
     assert report.counterexamples == []
+
+
+def test_verify_minimality_theorem_refuses_m_max_past_64():
+    with pytest.raises(ValueError, match="64"):
+        verify_minimality_theorem(65)
+
+
+def test_verify_minimality_theorem_records_each_counterexample(monkeypatch):
+    # a unit pair's generated subgroup is {0}, so a quiver called minimal
+    # for every pair disagrees with it at each m >= 2
+    monkeypatch.setattr(finite_oracle, "minimal_finite", lambda q: True)
+    report = verify_minimality_theorem(3)
+    assert report.pairs_checked == 6
+    assert report.counterexamples == [
+        {"m": m, "a": a, "b": b, "gamma0_full": False, "minimal": True}
+        for m, a, b in ((2, 1, 1), (3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2))
+    ]
 
 
 def test_crit1_subset_equivalence():
@@ -171,3 +217,6 @@ def test_density_1d_gap_value():
 def test_density_1d_rejects_zero():
     with pytest.raises(SingularMatrix):
         density_1d(0, 2, 3, Fraction(1, 10))
+    for epsilon in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="epsilon"):
+            density_1d(2, 3, 3, epsilon)

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -309,6 +311,21 @@ def test_constructor_takes_integers_only():
     for bad in (2.5, 2.0, "3", Fraction(3), None):
         with pytest.raises(TypeError):
             IntMatrix([[bad]])
+
+
+def test_matrices_refuse_assignment_and_deletion():
+    m = IntMatrix([[2, -1], [3, 5]])
+    key = hash(m)
+    counts = Counter([m, IntMatrix([[2, -1], [3, 5]])])
+    for change in (lambda: setattr(m, "rows", ((2,),)), lambda: delattr(m, "rows"),
+                   lambda: setattr(m, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert m.rows == ((2, -1), (3, 5)) and hash(m) == key
+    assert m == IntMatrix([[2, -1], [3, 5]]) and counts[m] == 2
+    # copies and pickles are built without assignment
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and hash(twin) == key and type(twin.rows) is tuple
 
 
 def test_scalar_value():

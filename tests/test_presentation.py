@@ -8,6 +8,7 @@ from qsimp import intmat, presentation
 from qsimp.errors import (
     DimensionMismatch,
     NonPositiveDiagonal,
+    OutputTooLarge,
     SingularMatrix,
     UnsupportedFormat,
 )
@@ -80,6 +81,34 @@ def test_present_rejects_mismatched_sizes():
 def test_present_rejects_singular():
     with pytest.raises(SingularMatrix):
         present(IntMatrix([[0]]), IntMatrix([[1]]))
+
+
+def test_present_index_set_cap():
+    cap = presentation.MAX_INDICES
+    assert cap == 1 << 18
+    # at the cap: a diagonal F, and an F that goes through snf
+    assert len(present(IntMatrix([[cap]]), IntMatrix([[3]])).index_set) == cap
+    p = present(IntMatrix([[512, 1], [0, -512]]), IntMatrix.identity(2))
+    assert p.diag == (1, cap) and len(p.index_set) == cap
+
+
+def test_present_past_the_cap_builds_no_index_set(monkeypatch):
+    def never(*args):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(presentation, "snf", never)
+    monkeypatch.setattr(presentation, "index_set", never)
+    cap = presentation.MAX_INDICES
+    message = f"the index set has |det F| multi-indices, more than {cap}"
+    for rows in ([[cap + 1]], [[-cap - 1]], [[10**9]], [[513, 1], [0, 512]],
+                 [[10**600, 0], [0, 1]]):
+        f = IntMatrix(rows)
+        with pytest.raises(OutputTooLarge) as info:
+            present(f, IntMatrix.identity(f.dim), toeplitz=True)
+        assert str(info.value) == message
+    # a singular G is reported first, whatever the size of det F
+    with pytest.raises(SingularMatrix):
+        present(IntMatrix([[10**9]]), IntMatrix([[0]]))
 
 
 def _assert_counts_and_roundtrip(p, f, toeplitz):
