@@ -8,6 +8,7 @@ in fixed order so identical jobs produce byte-identical output. Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import marshal
 import math
@@ -415,6 +416,21 @@ def _run_batch(tagged: list, workers: int) -> list:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run the batch that `argv` (default `sys.argv[1:]`) names, write one
+    result line per job to stdout in one call, and return the exit code.
+
+    Once the output is written, `gc.freeze()` moves every object the
+    collector tracks to its permanent generation, which no collection
+    scans. Nothing after the write reads the start-up heap, and the `qsimp`
+    process ends right after `main` returns, so interpreter finalization
+    then skips collecting it: after a decide-chain batch that is about
+    12,900 objects and about 8 ms of a 70-90 ms run (README, "Start-up and
+    exit"). The stdio flush at exit still happens. The forked children
+    leave through `os._exit` and never get here. For an in-process caller
+    (the tests, a library) the call freezes only the objects alive at that
+    moment, which are then never collected, and the collector stays
+    enabled, so cycles made afterwards are collected as before.
+    """
     parser = argparse.ArgumentParser(
         prog="qsimp",
         description="batch decisions for torus-relation Cuntz-Pimsner algebras",
@@ -445,6 +461,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     # one write: with PYTHONUNBUFFERED=1 every print is two write calls
     sys.stdout.write("".join([payload + "\n" for _, payload in results]))
+    # no collection may scan the start-up heap from here on (see above)
+    gc.freeze()
     worst = EXIT_DEFINITE
     for code, _ in results:
         if code == EXIT_ERROR:

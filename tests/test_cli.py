@@ -1048,20 +1048,32 @@ LAZY_MODULES = ["qsimp.chain", "qsimp.finite_oracle", "qsimp.lattice", "qsimp.po
 EAGER_MODULES = ["qsimp.cli", "qsimp.errors", "qsimp.intmat"]
 # prints, before and after each batch, the qsimp modules in sys.modules,
 # those whose code ran (a lazy module that has not run is an instance of a
-# ModuleType subclass) and the heavy stdlib modules present. It runs the
-# batch under --jobs 2 first, where this process runs share 0, then under
+# ModuleType subclass) and the heavy stdlib modules present. It also prints
+# how many objects the collector tracks, whether it is enabled, and whether
+# a reference cycle made now is freed by gc.collect(). It runs the batch
+# under --jobs 2 first, where this process runs share 0, then under
 # --jobs 1
 COLD_START_PROBE = """
-import json, sys, types
+import gc, json, sys, types, weakref
 import qsimp.cli
 
+class Node:
+    pass
+
 def state():
+    tracked = len(gc.get_objects())
+    node = Node()
+    node.self = node
+    cycle = weakref.ref(node)
+    del node
+    gc.collect()
     registered = sorted(k for k in sys.modules if k.startswith("qsimp."))
     print(json.dumps({
         "registered": registered,
         "executed": [k for k in registered if type(sys.modules[k]) is types.ModuleType],
         "stdlib": sorted(m for m in ("concurrent.futures", "multiprocessing", "dataclasses",
                                      "inspect") if m in sys.modules),
+        "gc": {"tracked": tracked, "enabled": gc.isenabled(), "cycle_freed": cycle() is None},
     }))
 
 state()
@@ -1076,7 +1088,10 @@ def test_cold_start_loads_no_pool_or_dataclasses(tmp_path):
     # none needs dataclasses (which pulls in inspect). Every traced layer is
     # in sys.modules after importing the CLI, as the bench tracer expects,
     # but a batch runs only the modules its jobs use: only R5 reaches the
-    # chain and factors polynomials, and only trace builds lattices
+    # chain and factors polynomials, and only trace builds lattices. After
+    # each batch main has frozen the heap, so interpreter finalization
+    # would find almost nothing to collect (the start-up heap is thousands
+    # of objects), while the collector stays on for objects made later
     pair = {"d": 2, "F": [[2, 1], [1, 3]], "G": [[3, 0], [1, 1]]}
     batches = {
         "decide": ([*(job_line(command="decide", d=1, F=[[k]], G=[[3]]) for k in (2, 4, 5)),
@@ -1108,15 +1123,58 @@ def test_cold_start_loads_no_pool_or_dataclasses(tmp_path):
         n = len(lines)
         assert len(out) == 2 * n + 3, kind
         start, after_j2, after_j1 = (json.loads(out[i]) for i in (0, n + 1, 2 * n + 2))
+        heaps = [state.pop("gc") for state in (start, after_j2, after_j1)]
         assert start == {"registered": sorted(EAGER_MODULES + LAZY_MODULES),
                          "executed": EAGER_MODULES, "stdlib": []}
         for state in (after_j2, after_j1):
             assert state == {**start, "executed": sorted(EAGER_MODULES + runs)}, kind
+        assert heaps[0]["tracked"] > 1000, kind
+        for heap in heaps[1:]:
+            assert heap["tracked"] < 100, (kind, heap)
+        assert all(heap["enabled"] and heap["cycle_freed"] for heap in heaps), (kind, heaps)
         assert out[1:n + 1] == out[n + 2:2 * n + 2]
         outputs[kind] = out[1:n + 1]
     assert [json.loads(x)["rules"][0][:2] for x in outputs["decide"]] == [
         "R4", "R4", "R4", "R3", "R1"]
     assert all('"status":"Simple","rules":["R5-density"]' in x for x in outputs["r5"])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_output_written_before_the_freeze_reaches_a_file_at_exit(tmp_path, jobs):
+    # with PYTHONUNBUFFERED unset, stdout to a file is block-buffered, so the
+    # results reach the file only in the flush at interpreter exit, after
+    # main has frozen the heap. Every other subprocess test inherits the
+    # variable when it is set, and so never sees that flush
+    definite = [job_line(command="decide", d=1, F=[[2]], G=[[3]]),
+                job_line(command="decide", d=1, F=[[1]], G=[[1]], output="text"),
+                job_line(command="decide", d=2, F=[[0, -3], [1, 0]], G=[[-4, 1], [-3, 0]])]
+    unknown = [job_line(command="decide", d=2, F=[[2, 1], [0, 1]], G=[[1, 0], [2, 0]]),
+               job_line(command="decide", d=1, F=[[0]], G=[[3]], output="text")]
+    errors = ["not json", job_line(command="decide", d=1, F=[[2]])]
+    batches = [([definite[0], unknown[0], errors[0], definite[1], unknown[1], errors[1]],
+                {0, 1, 2}, 1),
+               (unknown, {2}, 2),
+               (definite, {0}, 0)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    for lines, codes, exit_code in batches:
+        results = [cli._run_line((line, "json")) for line in lines]
+        assert {code for code, _ in results} == codes
+        src = tmp_path / "jobs.jsonl"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from qsimp.cli import main; sys.exit(main())",
+                 "--input", str(src), "--jobs", jobs],
+                env=env,
+                stdout=fh,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (exit_code, "")
+        assert out.read_bytes() == "".join(payload + "\n" for _, payload in results).encode()
 
 
 def test_package_exports_resolve_to_their_submodules():
