@@ -20,14 +20,17 @@ with pivot D is D e_i plus a combination of later rows, so any level L
 is Z^d + sum Z row / D over the other rows. `_levels` carries the
 generators' images as integer numerators over the next fold denominator
 D |det G|, so each later level folds only r rows into the known
-triangular basis |det G| B. The pair's matrices are plain values that
-each public entry point computes and passes down; nothing is cached. A
-trace takes each matrix's adjugate from two `det_adjugate` passes, its own
-and one in a level-1 `step_pos` call, and its det once more by Bareiss in
-the other call. A singular matrix stops its pass, or its Bareiss det, at
-the missing pivot, so a singular pair raises after one elimination of
-each matrix at most, and no entry point builds an adjugate it does not
-read.
+triangular basis |det G| B. Those rows are reduced modulo the fold
+denominator and that basis is canonical, so the fold calls the HNF kernel
+`intmat._hnf_fold` directly; `step_pos`, which maps any lattice it is
+given, goes through the checked `lattice.from_rational_rows`. The pair's
+matrices are plain values that each public entry point computes and
+passes down; nothing is cached. A trace takes each matrix's adjugate from
+two `det_adjugate` passes, its own and one in a level-1 `step_pos` call,
+and its det once more by Bareiss in the other call. A singular matrix
+stops its pass, or its Bareiss det, at the missing pivot, so a singular
+pair raises after one elimination of each matrix at most, and no entry
+point builds an adjugate it does not read.
 
 The join J_k of the forward level N_1 / D_1 and the backward level
 N_2 / D_2 (canonical forms) is built by `lattice.joins`. D_1 divides a
@@ -107,7 +110,7 @@ from typing import NamedTuple, Optional
 
 from . import lattice, poly
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
-from .intmat import IntMatrix, charpoly, det, det_adjugate, evaluate
+from .intmat import IntMatrix, _hnf_fold, charpoly, det, det_adjugate, evaluate
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
@@ -188,7 +191,14 @@ def _levels(step: IntMatrix, c: int, level: lattice.RationalLattice,
     den (the canonical form only cancels a common factor), so its M-image
     u step / (den det G) is, up to a sign that leaves the span alone, the
     integer numerator (u step) / (den / D) over D |det G|; the division is
-    checked.
+    checked when den / D > 1, which happens only after the canonical form
+    cancelled a factor.
+
+    With the level L = span(B) / D, the images, reduced into [0, den),
+    fold into the triangular basis |det G| B of den L, which contains
+    den Z^d. Those are `intmat._hnf_fold`'s input conditions, so the fold
+    skips hnf_rows' checks, and `lattice._canonical` cancels the common
+    factor of its result.
     """
     levels = [level]
     n, cols = abs(c), list(zip(*step.rows))
@@ -199,13 +209,16 @@ def _levels(step: IntMatrix, c: int, level: lattice.RationalLattice,
         images = []
         for row in rows:
             image = [sum(map(mul, row, col)) for col in cols]
-            if any(x % div for x in image):
+            if div == 1:
+                images.append([x % den for x in image])
+            elif any(x % div for x in image):
                 raise ConsistencyError("chain generator image is not integral "
                                        "over the fold denominator")
-            images.append([x // div % den for x in image])
+            else:
+                images.append([x // div % den for x in image])
         rows = images
         start = [[n * x for x in row] for row in level.basis.rows]
-        level = lattice.from_rational_rows(level.dim, den, rows, start)
+        level = lattice._canonical(level.dim, den, _hnf_fold(rows, level.dim, den, start))
         levels.append(level)
     return levels
 

@@ -322,15 +322,12 @@ def hnf_rows(
     wants the HNF of span(rows) itself passes a positive multiple of its
     index [Z^dim : span(rows)].
 
-    The elimination runs modulo `modulus` (Domich-Kannan-Trotter 1987;
-    Cohen, GTM 138, Alg. 2.4.8), which keeps the working entries of `rows`
-    in [0, modulus). Column by column, each live row is folded into the
-    pivot row, which starts as row c of `start`, and leaves the row zero in
-    column c: by one subtraction when one of the two leading entries
-    divides the other, else by one extended-gcd step. Entries right of
-    column c are then reduced modulo `modulus`, which only adds vectors of
-    modulus * Z^dim. A known starting basis thus costs one fold per row of
-    `rows` and none for the rows it stands for.
+    This is the checked entry point: it rejects a non-positive modulus or
+    dim, rows of the wrong length and a `start` that is not upper
+    triangular with positive pivots, and reduces a copy of `rows` modulo
+    `modulus`. The elimination itself is `_hnf_fold`, which the package's
+    own folds call directly when they build its inputs from canonical
+    bases.
     """
     if modulus <= 0 or dim <= 0:
         raise ValueError("modulus and dim must be positive")
@@ -338,39 +335,67 @@ def hnf_rows(
         raise ValueError("rows must have length dim")
     if start is not None and len(start) != dim:
         raise ValueError("start must have dim rows")
-    # live rows keep only the columns from c on
     live = [[x % modulus for x in row] for row in rows]
+    if start is not None and any(len(top) != dim or top[c] <= 0 or any(top[:c])
+                                 for c, top in enumerate(start)):
+        raise ValueError("start must be upper triangular with positive pivots")
+    return _hnf_fold(live, dim, modulus, start)
+
+
+def _hnf_fold(
+    live: Sequence[Sequence[int]],
+    dim: int,
+    modulus: int,
+    start: Optional[Sequence[Sequence[int]]] = None,
+) -> IntMatrix:
+    """hnf_rows(live, dim, modulus, start) with no input checks: every row
+    of `live` has dim entries in [0, modulus), and `start` is None or an
+    upper-triangular basis with positive pivots whose span contains
+    modulus * Z^dim. No row of `live` or `start` is changed.
+
+    The elimination runs modulo `modulus` (Domich-Kannan-Trotter 1987;
+    Cohen, GTM 138, Alg. 2.4.8), which keeps the working entries of the
+    live rows in [0, modulus). Column by column, each live row is folded
+    into the pivot row, which starts as row c of `start`, and leaves the
+    row zero in column c: by one subtraction when one of the two leading
+    entries divides the other, else by one extended-gcd step. Entries right
+    of column c are then reduced modulo `modulus`, which only adds vectors
+    of modulus * Z^dim. A known starting basis thus costs one fold per live
+    row and none for the rows it stands for. Rows stay full width; left of
+    column c every live row and pivot is zero.
+
+    `reduce_above_pivots` changes the pivot rows in place, so each pivot
+    taken from `start`, or promoted from a live row, is a copy.
+    """
     h = []
     for c in range(dim):
         if start is None:
-            piv = [0] * (dim - c)
-            piv[0] = modulus
+            piv = [0] * dim
+            piv[c] = modulus
         else:
-            top = start[c]
-            if len(top) != dim or top[c] <= 0 or any(top[:c]):
-                raise ValueError("start must be upper triangular with positive pivots")
-            piv = list(top[c:])
+            piv = list(start[c])
         rest = []
         for row in live:
-            a = row[0]
+            a = row[c]
             if a:
-                p = piv[0]
+                p = piv[c]
                 if not a % p:
                     q = a // p
                     row = [(y - q * x) % modulus for x, y in zip(piv, row)]
                 elif not p % a:
                     q = p // a
-                    piv, row = row, [(x - q * y) % modulus for x, y in zip(piv, row)]
+                    piv, row = list(row), [(x - q * y) % modulus for x, y in zip(piv, row)]
                 else:
                     g, s, t = _xgcd(p, a)
                     u, v = p // g, a // g
                     piv, row = (
-                        [g] + [(s * x + t * y) % modulus for x, y in zip(piv[1:], row[1:])],
+                        [(s * x + t * y) % modulus for x, y in zip(piv, row)],
                         [(v * x - u * y) % modulus for x, y in zip(piv, row)],
                     )
+                    piv[c] = g
             if any(row):
-                rest.append(row[1:])
-        h.append([0] * c + piv)
+                rest.append(row)
+        h.append(piv)
         live = rest
     return reduce_above_pivots(h)
 

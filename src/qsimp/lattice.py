@@ -20,7 +20,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, DimensionMismatch, SingularMatrix
-from .intmat import IntMatrix, det, det_adjugate, hnf_rows, reduce_above_pivots
+from .intmat import IntMatrix, _hnf_fold, det, det_adjugate, hnf_rows, reduce_above_pivots
 
 
 class RationalLattice(NamedTuple):
@@ -59,11 +59,19 @@ def from_rational_rows(
     `start`, when given, is an upper-triangular integer basis with positive
     pivots whose span contains denom * Z^d; the lattice is then generated
     by int_rows / denom and start / denom, and the rows of `start` cost no
-    elimination step (see hnf_rows).
+    elimination step (see hnf_rows). The inputs go through hnf_rows'
+    checks; the package's own folds, whose inputs come from canonical
+    bases, pass `intmat._hnf_fold`'s result to `_canonical` instead.
     """
     if denom <= 0:
         raise ValueError("denominator must be positive")
-    h = hnf_rows(int_rows, dim, denom, start)
+    return _canonical(dim, denom, hnf_rows(int_rows, dim, denom, start))
+
+
+def _canonical(dim: int, denom: int, h: IntMatrix) -> RationalLattice:
+    """The canonical form of span(h) / denom, for the row HNF h of an
+    integer lattice that contains denom * Z^d: the gcd of h's entries
+    divides denom, and both are divided by it."""
     g = math.gcd(*itertools.chain.from_iterable(h.rows))
     if g > 1:
         # dividing an HNF matrix by a common factor keeps it in HNF
@@ -146,8 +154,8 @@ def _fold_join(l1: RationalLattice, l2: RationalLattice) -> RationalLattice:
     s2 = d // l2.denom
     # s1 * B1 spans s1 * denom1 * L1, which contains d * Z^d: fold B2 into it
     start = [[x * s1 for x in row] for row in l1.basis.rows]
-    rows = [[x * s2 for x in row] for row in l2.basis.rows]
-    return from_rational_rows(l1.dim, d, rows, start)
+    rows = [[x * s2 % d for x in row] for row in l2.basis.rows]
+    return _canonical(l1.dim, d, _hnf_fold(rows, l1.dim, d, start))
 
 
 def _coprime_join(l1: RationalLattice, l2: RationalLattice, u: int) -> RationalLattice:
@@ -269,8 +277,8 @@ def dual_annihilators(lattices: Sequence[RationalLattice]) -> list[IntegerSublat
     Only the last one is computed from scratch; the others are built
     deepest first, each from the next deeper one. L_k <= L_{k+1} gives
     A_{k+1} <= A_k, and D_k Z^d <= A_k, so the reduction
-    C = A_{k+1} + D_k Z^d, the HNF of the basis of A_{k+1} modulo D_k,
-    lies in A_k. C is taken as A_k when [Z^d : C] = [L_k : Z^d] and every
+    C = A_{k+1} + D_k Z^d, the HNF of the basis of A_{k+1} reduced modulo
+    D_k, lies in A_k. C is taken as A_k when [Z^d : C] = [L_k : Z^d] and every
     basis row of C pairs integrally with L_k (B_k m = 0 mod D_k): the
     second puts C inside A_k for any list, and the first makes them equal.
     C = A_k exactly when L_k = L_{k+1} cap Z^d / D_k, which always holds
@@ -278,7 +286,10 @@ def dual_annihilators(lattices: Sequence[RationalLattice]) -> list[IntegerSublat
     by back-substitution, are folded into C modulo D_k. The fold always
     contains A_k and equals it exactly when [Z^d : fold] = [L_k : Z^d];
     that is checked, so a list that is not ascending raises
-    ConsistencyError.
+    ConsistencyError. The reduction and the fold take their rows reduced
+    modulo D_k and their start from a canonical basis, so both call
+    `intmat._hnf_fold` without hnf_rows' input checks; the index and
+    pairing checks above are what vouch for each result.
     """
     if not lattices:
         return []
@@ -286,11 +297,13 @@ def dual_annihilators(lattices: Sequence[RationalLattice]) -> list[IntegerSublat
         raise DimensionMismatch("annihilators of lattices of different dimensions")
     out = [dual_annihilator(lattices[-1])]
     for l in lattices[-2::-1]:
-        n = index(l)
-        basis = hnf_rows(out[-1].basis.rows, l.dim, l.denom)
+        n, den = index(l), l.denom
+        rows = [[x % den for x in row] for row in out[-1].basis.rows]
+        basis = _hnf_fold(rows, l.dim, den)
         if _diagonal_product(basis) != n or not _pairs_integrally(basis, l):
-            rows = _scaled_inverse_columns(l.basis, l.denom)
-            basis = hnf_rows(rows, l.dim, l.denom, basis.rows)
+            rows = _scaled_inverse_columns(l.basis, den)
+            basis = _hnf_fold([[x % den for x in row] for row in rows], l.dim, den,
+                              basis.rows)
             if _diagonal_product(basis) != n:
                 raise ConsistencyError("lattices are not ascending: an annihilator "
                                        "fold is larger than the annihilator")

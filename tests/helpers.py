@@ -124,23 +124,34 @@ def count_calls(monkeypatch, modules, name):
     return calls
 
 
+def rebind_kernel(monkeypatch, name, wrap):
+    """Bind wrap(orig), for the intmat kernel orig = intmat.<name>, in place
+    of orig in every qsimp module that binds it, intmat included; the
+    bindings are restored with monkeypatch."""
+    from qsimp import intmat
+
+    orig = getattr(intmat, name)
+    wrapper = wrap(orig)
+    modules = [m for key, m in list(sys.modules.items()) if key.startswith("qsimp.")]
+    for module in _loaded(modules):
+        if getattr(module, name, None) is orig:
+            monkeypatch.setattr(module, name, wrapper)
+
+
 def count_passes(monkeypatch, name):
     """Counter of calls to the intmat kernel `name`, keyed by the matrix
     passed, through every qsimp module's binding of it; the bindings are
     restored with monkeypatch."""
-    from qsimp import intmat
-
-    orig = getattr(intmat, name)
     passes = Counter()
 
-    def counted(m):
-        passes[m] += 1
-        return orig(m)
+    def wrap(orig):
+        def counted(m):
+            passes[m] += 1
+            return orig(m)
 
-    modules = [m for key, m in list(sys.modules.items()) if key.startswith("qsimp.")]
-    for module in _loaded(modules):
-        if getattr(module, name, None) is orig:
-            monkeypatch.setattr(module, name, counted)
+        return counted
+
+    rebind_kernel(monkeypatch, name, wrap)
     return passes
 
 

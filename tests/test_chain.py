@@ -12,8 +12,10 @@ from helpers import (
     count_calls,
     count_passes,
     fold_join,
+    rand_matrix,
     rand_nonsingular,
     rand_unimodular,
+    rebind_kernel,
     seeded,
 )
 from qsimp import chain, cli, intmat, lattice, poly, simplicity
@@ -238,20 +240,20 @@ def test_singular_pairs_raise_before_any_adjugate(monkeypatch):
 
 
 def test_compute_chain_hnf_count(monkeypatch):
-    fresh = []  # per hnf_rows call, whether it starts from modulus * I
+    # per call of the HNF kernel, in order: the rows it folds, and whether
+    # it starts from modulus * I. hnf_rows, the level and join folds and
+    # the annihilators all reach it
+    folded, fresh = [], []
 
-    def hnf(rows, dim, modulus, start=None, orig=lattice.hnf_rows):
-        fresh.append(start is None)
-        return orig(rows, dim, modulus, start)
+    def wrap(orig):
+        def counted(rows, dim, modulus, start=None):
+            folded.append(len(rows))
+            fresh.append(start is None)
+            return orig(rows, dim, modulus, start)
 
-    monkeypatch.setattr(lattice, "hnf_rows", hnf)
-    folded = []
+        return counted
 
-    def counted(dim, denom, int_rows, start=None, orig=lattice.from_rational_rows):
-        folded.append(len(int_rows))
-        return orig(dim, denom, int_rows, start)
-
-    monkeypatch.setattr(lattice, "from_rational_rows", counted)
+    rebind_kernel(monkeypatch, "_hnf_fold", wrap)
     back = count_calls(monkeypatch, (lattice,), "_scaled_inverse_columns")
     # (F, G, generators of the forward and backward level 1 over Z^d,
     # {depth n: back-substitutions}); the determinants are coprime, so
@@ -284,8 +286,9 @@ def test_compute_chain_hnf_count(monkeypatch):
             # per orientation, level 1 is step_pos's fold of the d rows of
             # Z^d's image and the d rows of adj(G)^T, and each later level
             # folds the r generator images; at depth 1 that is one fold per
-            # orientation
-            assert folded == [4] + [r_pos] * (n - 1) + [4] + [r_neg] * (n - 1)
+            # orientation. Each annihilator call after them takes d rows
+            assert folded[:2 * n] == [4] + [r_pos] * (n - 1) + [4] + [r_neg] * (n - 1)
+            assert folded[2 * n:] == [2] * (n + subs[n])
     # det F = 3 and det G = 9 share the prime 3: G = 3I has r = d = 2
     # generators, and each join folds the d rows of a backward level
     f, g = IntMatrix([[1, 1], [-1, 2]]), IntMatrix.scalar(2, 3)
@@ -297,7 +300,8 @@ def test_compute_chain_hnf_count(monkeypatch):
         assert back["qsimp.lattice"] == subs
         assert len(fresh) == 4 * n + subs
         assert sum(fresh) == n + 3
-        assert folded == [4] + [2] * (n - 1) + [4] + [1] * (n - 1) + [2] * n
+        assert folded[:3 * n] == [4] + [2] * (n - 1) + [4] + [1] * (n - 1) + [2] * n
+        assert folded[3 * n:] == [2] * (n + subs)
     rng = seeded(61)
     for _ in range(40):
         d = rng.randint(1, 4)
@@ -419,9 +423,9 @@ def test_levels_check_the_generator_images(monkeypatch):
     third = from_rational_rows(2, 3, [[1, 0]])
     assert step_pos(f, g, standard(2)) == third
     step = _step(f, g)
-    orig = lattice.from_rational_rows
-    monkeypatch.setattr(lattice, "from_rational_rows",
-                        lambda dim, denom, rows, start=None: orig(dim, denom, [], start))
+    orig = chain._hnf_fold
+    monkeypatch.setattr(chain, "_hnf_fold",
+                        lambda rows, dim, modulus, start=None: orig([], dim, modulus, start))
     # no image is advanced past the last level
     assert chain._levels(step, 3, third, 2) == [third, third]
     with pytest.raises(ConsistencyError):
@@ -431,11 +435,11 @@ def test_levels_check_the_generator_images(monkeypatch):
 def test_levels_reduce_images_modulo_the_fold_denominator(monkeypatch):
     folds = []
 
-    def counted(dim, denom, int_rows, start=None, orig=lattice.from_rational_rows):
-        folds.append((denom, int_rows))
-        return orig(dim, denom, int_rows, start)
+    def counted(rows, dim, modulus, start=None, orig=chain._hnf_fold):
+        folds.append((modulus, rows))
+        return orig(rows, dim, modulus, start)
 
-    monkeypatch.setattr(lattice, "from_rational_rows", counted)
+    monkeypatch.setattr(chain, "_hnf_fold", counted)
     rng = seeded(89)
     entries = 0
     for _ in range(40):
@@ -452,6 +456,81 @@ def test_levels_reduce_images_modulo_the_fold_denominator(monkeypatch):
                     assert all(0 <= x < den for x in row), (a, b, den, row)
                     entries += len(row)
     assert entries
+
+
+def _with_det(rng, d, target):
+    while True:
+        m = rand_matrix(rng, d, -3, 3)
+        if abs(det(m)) == target:
+            return m
+
+
+def _spans_multiples(start, modulus):
+    """Whether modulus * e_i lies in the row span of the upper-triangular
+    `start` for every i, by back-substitution."""
+    for i in range(len(start)):
+        v = [modulus * (j == i) for j in range(len(start))]
+        for c, top in enumerate(start):
+            if v[c] % top[c]:
+                return False
+            q = v[c] // top[c]
+            v = [x - q * y for x, y in zip(v, top)]
+    return True
+
+
+def test_hnf_kernel_inputs_meet_the_hnf_rows_contract(monkeypatch):
+    # every fold a trace makes reaches the kernel with the inputs hnf_rows
+    # would accept, and gives every argument row back unchanged
+    calls = Counter()
+
+    def wrap(orig):
+        def checked(live, dim, modulus, start=None):
+            assert modulus > 0 and dim > 0
+            for row in live:
+                assert len(row) == dim and all(0 <= x < modulus for x in row)
+            if start is None:
+                calls["fresh"] += 1
+            else:
+                calls["start"] += 1
+                assert len(start) == dim
+                for c, top in enumerate(start):
+                    assert len(top) == dim and top[c] > 0 and not any(top[:c])
+                assert _spans_multiples(start, modulus)
+            before = [list(map(list, live)), start and list(map(list, start))]
+            out = orig(live, dim, modulus, start)
+            assert [list(map(list, live)), start and list(map(list, start))] == before
+            return out
+
+        return checked
+
+    rebind_kernel(monkeypatch, "_hnf_fold", wrap)
+    join_folds = count_calls(monkeypatch, (lattice,), "_fold_join")
+    back = count_calls(monkeypatch, (lattice,), "_scaled_inverse_columns")
+    rng = seeded(97)
+    jobs = []
+    # the trace-deep cells (d, depth, |det F|, |det G|)
+    for d, depth, df, dg in ((2, 96, 2, 3), (2, 96, 3, 4), (2, 192, 2, 3), (2, 192, 3, 4),
+                             (3, 96, 2, 3), (3, 96, 3, 4), (3, 192, 2, 3)):
+        jobs.append((_with_det(rng, d, df), _with_det(rng, d, dg), depth))
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        jobs.append((rand_nonsingular(rng, d, -6, 6), rand_nonsingular(rng, d, -6, 6),
+                     rng.randint(1, 24)))
+    for d in (1, 2, 3):
+        # G = 2I, r = d generators, in either orientation
+        f = rand_nonsingular(rng, d, -6, 6)
+        jobs += [(f, IntMatrix.scalar(d, 2), 24), (IntMatrix.scalar(d, 2), f, 24)]
+    for d in (2, 3):
+        # determinants sharing a prime: every join past level 0 is a fold
+        for df, dg in ((3, 9), (2, 4)):
+            f, g = _with_det(rng, d, df), _with_det(rng, d, dg)
+            jobs += [(f, g, 24), (g, f, 24)]
+    for f, g, depth in jobs:
+        compute_chain(f, g, depth)
+    # the level, join and annihilator folds all ran: each chain
+    # back-substitutes its deepest annihilator, and some chains more
+    assert calls["fresh"] and calls["start"] and join_folds["qsimp.lattice"]
+    assert back["qsimp.lattice"] > len(jobs)
 
 
 def _plain_levels(f, g, depth):

@@ -296,6 +296,37 @@ def test_hnf_rows_fold_shortcuts_skip_the_gcd_step(monkeypatch):
     assert hnf_rows([[0, 3], [2, 5]], 2, 6, [[4, 1], [0, 6]]) == IntMatrix([[2, 2], [0, 3]])
 
 
+def test_hnf_fold_keeps_its_inputs_and_equals_hnf_rows():
+    # (live rows, dim, modulus, start, HNF): in each, a live row whose
+    # leading entry divides the pivot is promoted to pivot and then reduced
+    # above a later pivot, which must change a copy, not the row
+    cases = [
+        # 2 | 4 promotes [2, 11]; the xgcd step with 9 gives pivot 3, and
+        # 11 reduces to 2 above it
+        ([[2, 11]], 2, 12, ((4, 7), (0, 12)), [[2, 2], [0, 3]]),
+        ([(2, 11)], 2, 12, [[4, 7], [0, 12]], [[2, 2], [0, 3]]),
+        # the public shortcut example, with a tuple start
+        ([[0, 3], [2, 5]], 2, 6, ((4, 1), (0, 6)), [[2, 2], [0, 3]]),
+        # no start: 3 | 18 promotes [3, 4, 13], which ends as [3, 1, 1]
+        ([[3, 4, 13], [0, 9, 0]], 3, 18, None, [[3, 1, 1], [0, 3, 12], [0, 0, 18]]),
+    ]
+    rng = seeded(29)
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        modulus = rng.choice([2, 4, 6, 8, 12, 30]) * rng.randint(1, 4)
+        seed_rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(rng.randint(0, d))]
+        start = rng.choice([None, hnf_rows(seed_rows, d, modulus).rows])
+        live = [[rng.randrange(modulus) for _ in range(d)] for _ in range(rng.randint(0, 4))]
+        cases.append((live, d, modulus, start, None))
+    for live, d, modulus, start, want in cases:
+        before = copy.deepcopy((live, start))
+        got = intmat._hnf_fold(live, d, modulus, start)
+        assert (live, start) == before
+        assert got == hnf_rows(*copy.deepcopy((live, d, modulus, start)))
+        if want is not None:
+            assert got == IntMatrix(want)
+
+
 def test_hnf_rows_rejects_a_malformed_start():
     for start in ([[2]], [[2, 0], [1, 2]], [[0, 1], [0, 2]], [[2, 0], [0]]):
         with pytest.raises(ValueError):

@@ -260,7 +260,7 @@ def test_join_equals_the_fold_of_both_bases(monkeypatch):
             pairs.append(tuple(_rows_lattice(rng, d, x) for x in dens))
     want = [fold_join(a, b) for a, b in pairs]
     crt = count_calls(monkeypatch, (lattice,), "reduce_above_pivots")
-    folds = count_calls(monkeypatch, (lattice,), "hnf_rows")
+    folds = count_calls(monkeypatch, (lattice,), "_hnf_fold")
     taken = Counter()
     for (a, b), w in zip(pairs, want):
         before = crt["qsimp.lattice"], folds["qsimp.lattice"]

@@ -298,10 +298,12 @@ def test_r5_decide_calls_no_snf_inverse_or_normalize(monkeypatch):
 
 def test_r5_decide_makes_no_hnf(monkeypatch):
     calls = count_calls(monkeypatch, (simplicity, chain, lattice), "hnf_rows")
+    # the package's own folds call the kernel directly
+    kernel = count_calls(monkeypatch, (chain, lattice), "_hnf_fold")
     v = decide(IntMatrix([[-4, 0], [0, 1]]), IntMatrix([[1, 2], [3, -4]]))
     assert v.rules_fired[-1][0] == "R5-density"
     # HNF folds build chain levels, which R5 never builds
-    assert not calls
+    assert not calls and not kernel
 
 
 def test_triangular_normal_forms_answer_simple_through_r5():
