@@ -41,21 +41,18 @@ _EXPORTS = {
     "chain": ("ChainTrace", "DensityVerdict", "annihilator_step_pos",
               "compute_chain", "decide_density", "step_pos"),
     "errors": ("ConsistencyError", "DimensionMismatch", "NonPositiveDiagonal",
-               "NotTriangular", "ParseError", "QsimpError", "SingularMatrix",
-               "UnsupportedFormat"),
+               "ParseError", "QsimpError", "SingularMatrix", "UnsupportedFormat"),
     "finite_oracle": ("FiniteQuiver", "GapResult", "MinimalityReport",
                       "condition_L_finite", "density_1d", "gamma0_finite",
                       "minimal_finite", "verify_minimality_theorem"),
     "intmat": ("IntMatrix", "SmithDecomposition", "adjugate", "det", "snf",
                "unimodular_inverse"),
-    "lattice": ("IntegerSublattice", "RationalLattice", "contains",
-                "dual_annihilator", "dual_lattice", "from_rational_rows", "index",
-                "join", "preimage", "pushforward", "standard",
-                "sublattice_contains", "sublattice_from_rows", "sublattice_index",
-                "sublattice_transform"),
+    "lattice": ("IntegerSublattice", "RationalLattice", "dual_annihilator",
+                "dual_lattice", "from_rational_rows", "index", "join", "preimage",
+                "pushforward", "standard", "sublattice_index", "sublattice_transform"),
     "presentation": ("Presentation", "index_set", "present", "render"),
     "simplicity": ("Hypotheses", "SimplicityVerdict", "check_hypotheses",
-                   "decide", "is_dilation", "normalize", "triangular_criterion"),
+                   "decide", "is_dilation", "normalize"),
 }
 # name -> the submodule that defines it
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,12 +19,6 @@ class DimensionMismatch(QsimpError):
     code = "DimensionMismatch"
 
 
-class NotTriangular(QsimpError):
-    """The triangular criterion was asked about a non-triangular matrix."""
-
-    code = "NotTriangular"
-
-
 class NonPositiveDiagonal(QsimpError):
     """An index set was requested for a diagonal with entries below 1."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -211,35 +210,6 @@ def index(l: RationalLattice) -> int:
     return num // d
 
 
-def _member(basis: IntMatrix, scale: int, x: Sequence) -> bool:
-    """Whether scale * x, for a rational vector x, lies in the row span of
-    an upper-triangular HNF basis, by exact back-substitution; a
-    non-integral scale * x never does."""
-    if len(x) != basis.dim:
-        raise DimensionMismatch("vector length does not match lattice dimension")
-    v = []
-    for xi in x:
-        s = Fraction(xi) * scale
-        if s.denominator != 1:
-            return False
-        v.append(s.numerator)
-    d = basis.dim
-    for i in range(d):
-        piv = basis.rows[i][i]
-        if v[i] % piv:
-            return False
-        q = v[i] // piv
-        if q:
-            for j in range(i, d):
-                v[j] -= q * basis.rows[i][j]
-    return True
-
-
-def contains(l: RationalLattice, x: Sequence) -> bool:
-    """Membership of a rational vector, exact."""
-    return _member(l.basis, l.denom, x)
-
-
 def _scaled_inverse_columns(b: IntMatrix, s: int) -> list[list[int]]:
     """Columns of s * B^{-1}, i.e. the rows of s * B^{-T}, for an
     upper-triangular B with nonzero diagonal, by back-substitution.
@@ -329,24 +299,9 @@ def dual_lattice(m: IntegerSublattice) -> RationalLattice:
     return from_rational_rows(m.dim, n, _scaled_inverse_columns(m.basis, n))
 
 
-def sublattice_from_rows(dim: int, rows: Sequence[Sequence[int]]) -> IntegerSublattice:
-    """The sublattice spanned by a square basis; raises SingularMatrix if it
-    is not full rank."""
-    n = abs(det(IntMatrix(rows)))
-    if n == 0:
-        raise SingularMatrix("sublattice basis is not full rank")
-    return IntegerSublattice(dim, hnf_rows(rows, dim, n))
-
-
 def sublattice_index(m: IntegerSublattice) -> int:
     """[Z^d : M]."""
     return _diagonal_product(m.basis)
-
-
-def sublattice_contains(m: IntegerSublattice, v: Sequence) -> bool:
-    """Membership of a rational vector, exact: one with a non-integral
-    entry never lies in M."""
-    return _member(m.basis, 1, v)
 
 
 def sublattice_transform(m: IntegerSublattice, t: IntMatrix) -> IntegerSublattice:
@@ -354,6 +309,8 @@ def sublattice_transform(m: IntegerSublattice, t: IntMatrix) -> IntegerSublattic
     dt = det(t)
     if dt == 0:
         raise SingularMatrix("transform needs det != 0")
+    if t.dim != m.dim:
+        raise DimensionMismatch("transform dimension mismatch")
     rows = (m.basis @ t.transpose()).rows
     # [Z^d : T M] = |det T| * [Z^d : M]
     return IntegerSublattice(m.dim, hnf_rows(rows, m.dim, sublattice_index(m) * abs(dt)))

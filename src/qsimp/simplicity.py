@@ -40,7 +40,7 @@ import math
 from typing import NamedTuple, Optional
 
 from . import chain as _chain
-from .errors import DimensionMismatch, NotTriangular, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 from .intmat import IntMatrix, charpoly, det, det_adjugate, snf, unimodular_inverse
 
 SIMPLE = "Simple"
@@ -58,6 +58,14 @@ class Hypotheses(NamedTuple):
 
 
 class SimplicityVerdict(NamedTuple):
+    """A verdict, the one rule that decided it, and what it rests on.
+
+    `kirchberg_flag` marks a simple algebra with |det F| or |det G| above 1.
+    It equals `status == "Simple"`: R1 answers every pair of two unimodular
+    matrices NotSimple, so a Simple pair always has such a determinant. The
+    field stays because the `decide` output prints it as "kirchberg".
+    """
+
     status: str
     rules_fired: list[tuple[str, str]]
     hypotheses: Hypotheses
@@ -71,10 +79,13 @@ def check_hypotheses(f: IntMatrix, g: IntMatrix) -> Hypotheses:
 
     Kernel sizes are |det|, finite exactly when the determinant is nonzero;
     zero determinants are reported rather than raised. Condition (L), every
-    loop has an exit, holds once both maps are onto with finite kernels and
-    one of them is not injective; it is None otherwise, since the loop
-    quiver of a pair of automorphisms genuinely fails it and a singular
-    pair is out of scope.
+    loop has an exit, is meant in its topological form (Muhly-Tomforde,
+    2005): the base points of the loops without exits have empty interior.
+    It is True once both maps are onto with finite kernels and one of them
+    is not injective. None means "not decided here": for a pair of
+    automorphisms, which satisfies (L) exactly when G^{-1} F has infinite
+    order (the hyperbolic pair ([[2, 1], [1, 1]], I) does, (I, I) does
+    not), and for a singular pair, which is out of scope.
     """
     df, dg = det(f), det(g)
     both_automorphisms = abs(df) == 1 and abs(dg) == 1
@@ -127,15 +138,13 @@ def is_dilation(f: IntMatrix) -> bool:
     return _schur_stable(high_first)
 
 
-def triangular_criterion(n: int, g: IntMatrix) -> bool:
-    """Diagonal avoidance test for the pair (n * I, G) with G triangular."""
-    if not (g.is_upper_triangular() or g.is_lower_triangular()):
-        raise NotTriangular("criterion applies to triangular matrices only")
-    diagonal = [abs(row[j]) for j, row in enumerate(g.rows)]
-    # a triangular matrix is singular exactly when its diagonal holds a 0
-    if not all(diagonal):
-        raise SingularMatrix("criterion needs det(G) != 0")
-    return n not in diagonal
+def _triangular_avoids(n: int, b: IntMatrix) -> bool:
+    """R4's test on the pair (n * I, B): B is triangular and no diagonal
+    entry of B has modulus n. decide calls it on nonsingular pairs only, so
+    the diagonal holds no 0."""
+    if not (b.is_upper_triangular() or b.is_lower_triangular()):
+        return False
+    return n not in {abs(row[j]) for j, row in enumerate(b.rows)}
 
 
 def normalize(f: IntMatrix, g: IntMatrix):
@@ -177,9 +186,8 @@ def _verdict(
     hyp: Hypotheses,
     density: Optional[_chain.DensityVerdict] = None,
 ) -> SimplicityVerdict:
-    kirchberg = status == SIMPLE and (abs(hyp.det_f) != 1 or abs(hyp.det_g) != 1)
     witness = None if density is None else density.witness
-    return SimplicityVerdict(status, [rule], hyp, density, kirchberg, witness)
+    return SimplicityVerdict(status, [rule], hyp, density, status == SIMPLE, witness)
 
 
 def decide(f: IntMatrix, g: IntMatrix) -> SimplicityVerdict:
@@ -220,11 +228,7 @@ def decide(f: IntMatrix, g: IntMatrix) -> SimplicityVerdict:
             (f, g, "F", "G", ""), (g, f, "G", "F", " (pair swapped)")
         ):
             n_a = _scalar_of(a)
-            if (
-                n_a is not None
-                and (b.is_upper_triangular() or b.is_lower_triangular())
-                and triangular_criterion(n_a, b)
-            ):
+            if n_a is not None and _triangular_avoids(n_a, b):
                 return _verdict(SIMPLE, (
                     "R4-triangular",
                     f"{name_a} = {n_a} * I and {name_b} triangular with no "

@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 from qsimp import lattice
-from qsimp.intmat import IntMatrix
+from qsimp.intmat import IntMatrix, hnf_rows
 
 
 def det_oracle(rows):
@@ -84,6 +84,26 @@ def lattice_points_oracle(denom, d, member):
 
     rec([])
     return pts
+
+
+def member(l, x):
+    """Whether the rational vector x lies in l, a RationalLattice or an
+    IntegerSublattice, exactly, by the public hnf_rows.
+
+    x scaled by l's denominator (1 for a sublattice) must be integral, and
+    adding it to l's basis must leave the basis's HNF unchanged. The fold's
+    modulus is the denominator, or the sublattice's index, since that
+    multiple of Z^d lies in span(basis).
+    """
+    if isinstance(l, lattice.IntegerSublattice):
+        denom, modulus = 1, lattice.sublattice_index(l)
+    else:
+        denom = modulus = l.denom
+    scaled = [Fraction(xi) * denom for xi in x]
+    if any(s.denominator != 1 for s in scaled):
+        return False
+    v = [s.numerator for s in scaled]
+    return hnf_rows([*l.basis.rows, v], l.dim, modulus) == l.basis
 
 
 def fold_join(a, b):

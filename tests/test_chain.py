@@ -12,6 +12,7 @@ from helpers import (
     count_calls,
     count_passes,
     fold_join,
+    member,
     rand_matrix,
     rand_nonsingular,
     rand_unimodular,
@@ -31,14 +32,13 @@ from qsimp.errors import ConsistencyError, DimensionMismatch, SingularMatrix
 from qsimp.finite_oracle import density_1d
 from qsimp.intmat import IntMatrix, charpoly, det
 from qsimp.lattice import (
+    IntegerSublattice,
     dual_annihilator,
     from_rational_rows,
     join,
     preimage,
     pushforward,
     standard,
-    sublattice_contains,
-    sublattice_from_rows,
 )
 from qsimp.simplicity import NOT_SIMPLE, SIMPLE, decide
 
@@ -117,7 +117,7 @@ def test_chain_monotone_and_divisible():
 
 
 def test_annihilator_step_examples():
-    z = sublattice_from_rows(1, [[1]])
+    z = IntegerSublattice(1, IntMatrix.identity(1))
     assert annihilator_step_pos(m1(2), m1(1), z).basis == IntMatrix([[1]])
     assert annihilator_step_pos(m1(1), m1(2), z).basis == IntMatrix([[2]])
     assert annihilator_step_pos(m1(1), m1(1), z).basis == IntMatrix([[1]])
@@ -210,7 +210,7 @@ def test_singular_pairs_raise_before_any_adjugate(monkeypatch):
     # so none builds one by Cayley-Hamilton
     sing = IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     reg = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 2]])
-    z, ann = standard(3), sublattice_from_rows(3, IntMatrix.identity(3).rows)
+    z, ann = standard(3), IntegerSublattice(3, IntMatrix.identity(3))
     chain_msg = "chain iteration needs nonsingular F and G"
     both = ((sing, reg), (reg, sing))
     for a, b in both:
@@ -613,7 +613,7 @@ def test_chain_levels_work_as_dict_keys():
 def annihilates_every_level(f, g, witness, depth=30):
     """The witness lies in every annihilator of levels 0..depth."""
     trace = compute_chain(f, g, depth)
-    return all(sublattice_contains(a, witness) for a in trace.annihilators)
+    return all(member(a, witness) for a in trace.annihilators)
 
 
 def test_decide_density_dense():
@@ -653,7 +653,7 @@ def test_decide_density_witness_annihilates_every_level():
     v = decide_density(f, g)
     assert v.witness == (2,)
     assert annihilates_every_level(f, g, v.witness)
-    assert not sublattice_contains(compute_chain(f, g, 1).annihilators[1], (1,))
+    assert not member(compute_chain(f, g, 1).annihilators[1], (1,))
 
 
 def test_decide_density_orbit_witness_d2():

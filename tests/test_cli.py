@@ -1177,32 +1177,54 @@ def test_output_written_before_the_freeze_reaches_a_file_at_exit(tmp_path, jobs)
         assert out.read_bytes() == "".join(payload + "\n" for _, payload in results).encode()
 
 
+def test_readme_library_tour_runs_as_written():
+    # the first python block of the README, line by line: a line with a
+    # trailing comment is an expression whose value the comment gives, as
+    # a literal or as "contains <literal>"
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    results = []
+    for line in block.splitlines():
+        code, sep, comment = line.partition("#")
+        if not sep:
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        claim, quoted = comment.strip().split("'", 1)
+        expected = quoted.split("'", 1)[0]
+        if claim == "contains ":
+            assert expected in value, line
+        else:
+            assert (claim, value) == ("", expected), line
+        results.append(expected)
+    assert results == ["Simple", "Dense", "U^{2}S = SU^{3}"]
+
+
 def test_package_exports_resolve_to_their_submodules():
-    # the 61 names of the package namespace: the seven submodules it had
+    # the 56 names of the package namespace: the seven submodules it had
     # before they became lazy, and the names each re-exports
     exports = {
         "chain": ["ChainTrace", "DensityVerdict", "annihilator_step_pos", "compute_chain",
                   "decide_density", "step_pos"],
         "errors": ["ConsistencyError", "DimensionMismatch", "NonPositiveDiagonal",
-                   "NotTriangular", "ParseError", "QsimpError", "SingularMatrix",
-                   "UnsupportedFormat"],
+                   "ParseError", "QsimpError", "SingularMatrix", "UnsupportedFormat"],
         "finite_oracle": ["FiniteQuiver", "GapResult", "MinimalityReport",
                           "condition_L_finite", "density_1d", "gamma0_finite",
                           "minimal_finite", "verify_minimality_theorem"],
         "intmat": ["IntMatrix", "SmithDecomposition", "adjugate", "det", "snf",
                    "unimodular_inverse"],
-        "lattice": ["IntegerSublattice", "RationalLattice", "contains", "dual_annihilator",
+        "lattice": ["IntegerSublattice", "RationalLattice", "dual_annihilator",
                     "dual_lattice", "from_rational_rows", "index", "join", "preimage",
-                    "pushforward", "standard", "sublattice_contains",
-                    "sublattice_from_rows", "sublattice_index", "sublattice_transform"],
+                    "pushforward", "standard", "sublattice_index", "sublattice_transform"],
         "presentation": ["Presentation", "index_set", "present", "render"],
         "simplicity": ["Hypotheses", "SimplicityVerdict", "check_hypotheses", "decide",
-                       "is_dilation", "normalize", "triangular_criterion"],
+                       "is_dilation", "normalize"],
     }
     import qsimp
 
     names = [*exports, *(name for members in exports.values() for name in members)]
-    assert len(names) == 61
+    assert len(names) == 56
     assert sorted(qsimp.__all__) == sorted(names)
     assert set(names) <= set(dir(qsimp))
     for module, members in exports.items():

@@ -31,7 +31,7 @@ from qsimp.intmat import (
     snf,
     unimodular_inverse,
 )
-from qsimp.lattice import sublattice_from_rows
+from qsimp.lattice import IntegerSublattice, sublattice_transform
 
 I2 = IntMatrix.identity(2)
 I3 = IntMatrix.identity(3)
@@ -189,7 +189,7 @@ def test_hnf_examples():
 
 def test_hnf_singular_rejected():
     with pytest.raises(SingularMatrix):
-        sublattice_from_rows(2, [[1, 0], [2, 0]])
+        sublattice_transform(IntegerSublattice(2, I2), IntMatrix([[1, 0], [2, 0]]))
     # span(rows) + modulus * Z^d is full rank only for a positive modulus
     for modulus in (0, -3):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from helpers import block_sum, count_calls, rand_nonsingular, rand_unimodular, seeded
 from qsimp import chain, intmat, lattice, poly, simplicity
 from qsimp.chain import DENSE, NOT_DENSE, decide_density
-from qsimp.errors import DimensionMismatch, NotTriangular, SingularMatrix
+from qsimp.errors import DimensionMismatch, SingularMatrix
 from qsimp.intmat import IntMatrix
 from qsimp.simplicity import (
     NOT_SIMPLE,
@@ -19,7 +19,6 @@ from qsimp.simplicity import (
     decide,
     is_dilation,
     normalize,
-    triangular_criterion,
 )
 
 
@@ -216,11 +215,13 @@ def test_schur_stable_on_products_with_known_root_moduli():
 
 
 def test_triangular_criterion():
-    assert triangular_criterion(2, IntMatrix.diagonal([3, 5]))
-    assert not triangular_criterion(2, IntMatrix([[2, 7], [0, 3]]))
-    assert triangular_criterion(3, IntMatrix([[2, 1], [0, 4]]))
-    with pytest.raises(NotTriangular):
-        triangular_criterion(2, IntMatrix([[1, 2], [3, 4]]))
+    avoids = simplicity._triangular_avoids
+    assert avoids(2, IntMatrix.diagonal([3, 5]))
+    assert not avoids(2, IntMatrix([[2, 7], [0, 3]]))
+    assert avoids(3, IntMatrix([[2, 1], [0, 4]]))
+    assert not avoids(2, IntMatrix([[-2, 0], [1, 3]]))
+    # R4 applies to triangular matrices only
+    assert not avoids(2, IntMatrix([[1, 2], [3, 4]]))
 
 
 def test_reduce_examples():
@@ -318,9 +319,7 @@ def test_triangular_normal_forms_answer_simple_through_r5():
         if any(abs(intmat.det(m)) == 1 or m.scalar_value() is not None for m in (f, g)):
             continue
         n, t, _ = normalize(f, g)
-        if not (t.is_upper_triangular() or t.is_lower_triangular()):
-            continue
-        if not triangular_criterion(n, t):
+        if not simplicity._triangular_avoids(n, t):
             continue
         found += 1
         v = decide(f, g)
@@ -353,8 +352,7 @@ def _r4_holds(a, b):
     """R4's predicate on (A, B): A = n I and B triangular with no diagonal
     entry of modulus n."""
     n = a.scalar_value()
-    return (n is not None and (b.is_upper_triangular() or b.is_lower_triangular())
-            and triangular_criterion(abs(n), b))
+    return n is not None and simplicity._triangular_avoids(abs(n), b)
 
 
 def _r3_covers_r4(a, b):
@@ -454,7 +452,7 @@ def test_triangular_vs_chain_no_contradiction():
         for _ in range(10):
             diag = [rng.choice([x for x in range(-5, 6) if x and abs(x) != n]) for _ in range(2)]
             g = IntMatrix([[diag[0], rng.randint(-5, 5)], [0, diag[1]]])
-            assert triangular_criterion(n, g)
+            assert simplicity._triangular_avoids(n, g)
             v = decide(IntMatrix.scalar(2, n), g)
             assert v.status == SIMPLE
             dv = decide_density(IntMatrix.scalar(2, n), g)
