@@ -454,7 +454,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         with open(opts.input, "rb") as fh:
             data = fh.read()
     text = data.decode("utf-8", "surrogateescape")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # lines end at \n, \r\n or \r only: str.splitlines also breaks at
+    # U+2028, U+2029 and U+0085, which JSON allows raw inside a string, and
+    # at \v, \f and \x1c-\x1e, and would split one job into two lines
+    lines = [ln for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+             if ln.strip()]
 
     tagged = [(ln, opts.format) for ln in lines]
     results = _run_batch(tagged, _workers(opts.jobs, len(tagged)))

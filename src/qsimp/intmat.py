@@ -8,20 +8,19 @@ couple dozen levels even in dimension one.
 
 Two exact kernels serve everything but the normal forms: `det_adjugate`,
 a fraction-free Gauss-Jordan pass in O(d^3) operations, and `charpoly`,
-Newton's identities over the power sums tr(m^k), which take O(sqrt(d))
-matrix products. `det` is fraction-free Bareiss elimination alone. The
-Gauss-Jordan pass stops at a singular matrix; only `adjugate` goes on, by
-Cayley-Hamilton over `charpoly`.
+Berkowitz's division-free recurrence over the leading principal blocks,
+in matrix-vector products alone. `det` is fraction-free Bareiss
+elimination alone. The Gauss-Jordan pass stops at a singular matrix; only
+`adjugate` goes on, by Cayley-Hamilton over `charpoly`.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import getitem, index, mul, neg
+from operator import index, mul, neg
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import ConsistencyError, SingularMatrix
+from .errors import SingularMatrix
 
 
 class IntMatrix:
@@ -172,38 +171,26 @@ def _product(rows, cols) -> tuple[tuple[int, ...], ...]:
 def charpoly(m: IntMatrix) -> list[int]:
     """Monic characteristic polynomial det(xI - m), highest degree first.
 
-    Newton's identities give its coefficients c_k from the power sums
-    p_k = tr(m^k), k <= d: k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1),
-    a division that is exact over Z. Baby powers m^1..m^s, kept transposed,
-    and giant powers m^(qs), kept as rows, give every p_k with few matrix
-    products (Paterson-Stockmeyer, SIAM J. Comput. 2, 1973): tr(m^i m^(qs))
-    is the flat inner product of (m^i)^T and m^(qs). With s = isqrt(d) that
-    is s - 1 + max(0, ceil(d/s) - 2) products, at most 2 ceil(sqrt(d)):
-    none at d = 2, where p_2 = <m^T, m>, and one at d = 3.
+    Berkowitz's recurrence (Inf. Process. Lett. 18, 1984) over the leading
+    principal blocks A_r = m[:r][:r], with no division: write A_(r+1) with
+    the row R = m[r][:r], the column C = (m[i][r])_(i<r) and the corner
+    a = m[r][r]. Then chi_(r+1) is the product of chi_r with the Toeplitz
+    matrix whose first column is
+    t = (1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C), so step r takes r - 1
+    matrix-vector products and no matrix product.
     """
     a = m.rows
-    d = len(a)
-    s = math.isqrt(d)
-    baby = [tuple(zip(*a))]  # baby[i - 1] = (m^i)^T
-    for _ in range(s - 1):
-        baby.append(_product(baby[-1], a))
-    p = [sum(map(getitem, b, range(d))) for b in baby]  # p[k - 1] = p_k
-    if d > s:
-        top = baby[-1]  # its rows are the columns of m^s
-        giant, low = (a if s == 1 else tuple(zip(*top))), s  # m^low, low = qs
-        for k in range(s + 1, d + 1):
-            if k - low > s:
-                giant = _product(giant, top)
-                low += s
-            p.append(sum(map(mul, chain(*baby[k - low - 1]), chain(*giant))))
-    c = [1]
-    for k in range(1, d + 1):
-        t = p[k - 1]
-        for i in range(1, k):
-            t += c[i] * p[k - i - 1]
-        if t % k:
-            raise ConsistencyError("Newton's identities: power sum not divisible")
-        c.append(-(t // k))
+    c = [1, -a[0][0]]
+    for r in range(1, len(a)):
+        # rows and vectors zip to their first r entries: the block A_r and R
+        top, row = a[:r], a[r]
+        v = [x[r] for x in top]
+        t = [1, -row[r], -sum(map(mul, row, v))]
+        for _ in range(r - 1):
+            v = [sum(map(mul, x, v)) for x in top]
+            t.append(-sum(map(mul, row, v)))
+        # c_i <- sum_j t_(i-j) c_j
+        c = [sum(map(mul, t[i::-1], c)) for i in range(r + 2)]
     return c
 
 
@@ -304,42 +291,26 @@ def _row_axpy(mat, i: int, k: int, q: int) -> None:
         ri[j] -= q * rk[j]
 
 
-def hnf_rows(
-    rows: Sequence[Sequence[int]],
-    dim: int,
-    modulus: int,
-    start: Optional[Sequence[Sequence[int]]] = None,
-) -> IntMatrix:
-    """Row Hermite normal form of the lattice span(start) + span(rows).
+def hnf_rows(rows: Sequence[Sequence[int]], dim: int, modulus: int) -> IntMatrix:
+    """Row Hermite normal form of the lattice span(rows) + modulus * Z^dim.
 
-    `start` is an upper-triangular basis with positive pivots whose span
-    contains modulus * Z^dim; None stands for modulus * I, so the default
-    lattice is span(rows) + modulus * Z^dim. The result is upper triangular
-    with positive pivots and entries above each pivot reduced into
-    [0, pivot). That form is unique per row lattice, so it is the canonical
-    representative used everywhere in the package, and
-    hnf_rows(rows, dim, M, T) == hnf_rows(T + rows, dim, M). A caller that
-    wants the HNF of span(rows) itself passes a positive multiple of its
-    index [Z^dim : span(rows)].
+    The result is upper triangular with positive pivots and entries above
+    each pivot reduced into [0, pivot). That form is unique per row
+    lattice, so it is the canonical representative used everywhere in the
+    package. A caller that wants the HNF of span(rows) itself passes a
+    positive multiple of its index [Z^dim : span(rows)].
 
     This is the checked entry point: it rejects a non-positive modulus or
-    dim, rows of the wrong length and a `start` that is not upper
-    triangular with positive pivots, and reduces a copy of `rows` modulo
+    dim and rows of the wrong length, and reduces a copy of `rows` modulo
     `modulus`. The elimination itself is `_hnf_fold`, which the package's
-    own folds call directly when they build its inputs from canonical
-    bases.
+    own folds call directly, from a starting basis, when they build its
+    inputs from canonical bases.
     """
     if modulus <= 0 or dim <= 0:
         raise ValueError("modulus and dim must be positive")
     if any(len(row) != dim for row in rows):
         raise ValueError("rows must have length dim")
-    if start is not None and len(start) != dim:
-        raise ValueError("start must have dim rows")
-    live = [[x % modulus for x in row] for row in rows]
-    if start is not None and any(len(top) != dim or top[c] <= 0 or any(top[:c])
-                                 for c, top in enumerate(start)):
-        raise ValueError("start must be upper triangular with positive pivots")
-    return _hnf_fold(live, dim, modulus, start)
+    return _hnf_fold([[x % modulus for x in row] for row in rows], dim, modulus)
 
 
 def _hnf_fold(
@@ -348,10 +319,13 @@ def _hnf_fold(
     modulus: int,
     start: Optional[Sequence[Sequence[int]]] = None,
 ) -> IntMatrix:
-    """hnf_rows(live, dim, modulus, start) with no input checks: every row
-    of `live` has dim entries in [0, modulus), and `start` is None or an
-    upper-triangular basis with positive pivots whose span contains
-    modulus * Z^dim. No row of `live` or `start` is changed.
+    """Row HNF of the lattice span(start) + span(live), with no input
+    checks: every row of `live` has dim entries in [0, modulus), and
+    `start` is an upper-triangular basis with positive pivots whose span
+    contains modulus * Z^dim, or None for modulus * I, which makes the
+    result hnf_rows(live, dim, modulus). Since the HNF is unique, it equals
+    hnf_rows(start + live, dim, modulus). No row of `live` or `start` is
+    changed.
 
     The elimination runs modulo `modulus` (Domich-Kannan-Trotter 1987;
     Cohen, GTM 138, Alg. 2.4.8), which keeps the working entries of the

@@ -47,24 +47,18 @@ def standard(dim: int) -> RationalLattice:
 
 
 def from_rational_rows(
-    dim: int,
-    denom: int,
-    int_rows: Sequence[Sequence[int]],
-    start: Optional[Sequence[Sequence[int]]] = None,
+    dim: int, denom: int, int_rows: Sequence[Sequence[int]]
 ) -> RationalLattice:
     """Canonical form of the lattice generated by int_rows / denom together
     with Z^d.
 
-    `start`, when given, is an upper-triangular integer basis with positive
-    pivots whose span contains denom * Z^d; the lattice is then generated
-    by int_rows / denom and start / denom, and the rows of `start` cost no
-    elimination step (see hnf_rows). The inputs go through hnf_rows'
-    checks; the package's own folds, whose inputs come from canonical
-    bases, pass `intmat._hnf_fold`'s result to `_canonical` instead.
+    The inputs go through hnf_rows' checks; the package's own folds, whose
+    inputs come from canonical bases, pass `intmat._hnf_fold`'s result to
+    `_canonical` instead.
     """
     if denom <= 0:
         raise ValueError("denominator must be positive")
-    return _canonical(dim, denom, hnf_rows(int_rows, dim, denom, start))
+    return _canonical(dim, denom, hnf_rows(int_rows, dim, denom))
 
 
 def _canonical(dim: int, denom: int, h: IntMatrix) -> RationalLattice:

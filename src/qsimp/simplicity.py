@@ -130,8 +130,9 @@ def is_dilation(f: IntMatrix) -> bool:
     The reversed characteristic polynomial has the reciprocal roots, so the
     question becomes Schur stability of an integer polynomial; no floating
     point enters the decision. A singular f has the root 0, which the
-    reduction rejects at once. The polynomial comes from the power sums
-    tr(f^k), which take O(sqrt(d)) matrix products (intmat.charpoly).
+    reduction rejects at once. The polynomial comes from Berkowitz's
+    division-free recurrence (Inf. Process. Lett. 18, 1984), in
+    matrix-vector products alone (intmat.charpoly).
     """
     high_first = charpoly(f)
     # x^d * p(1/x) has exactly these numbers as low-to-high coefficients

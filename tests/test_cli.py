@@ -785,6 +785,26 @@ def test_main_writes_its_output_in_one_call(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_job_line_ends_only_at_a_newline_or_carriage_return(tmp_path, capsys, jobs):
+    # JSON allows U+2028, U+2029 and U+0085 raw inside a string, and
+    # str.splitlines breaks a line at each of them; it also breaks at \v,
+    # \f and \x1c-\x1e, which JSON does not allow raw, so those lines are
+    # one ParseError each
+    decide = '{"command":"decide","d":1,"F":[[2]],"G":[[3]],"note":"a%sb"}'
+    allowed = [decide % ch for ch in ("\u2028", "\u2029", "\x85")]
+    control = [decide % ch for ch in ("\v", "\f", "\x1c", "\x1d", "\x1e")]
+    path = tmp_path / "jobs.jsonl"
+    # \r\n and \r end a line as \n does
+    path.write_bytes(("\n".join(allowed) + "\r\n" + "\r".join(control) + "\n").encode())
+    code = main(["--input", str(path), "--jobs", jobs])
+    docs = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert code == 1
+    assert [d["status"] for d in docs] == ["Simple"] * 3 + ["Error"] * 5
+    assert all(d["error"] == "ParseError" and "invalid JSON" in d["message"]
+               for d in docs[3:])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_unparseable_json_is_a_parse_error_line(tmp_path, capsys, jobs):
     # json.loads raises a plain ValueError past the interpreter's
     # integer-digit limit and RecursionError on very deep nesting

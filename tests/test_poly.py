@@ -307,6 +307,16 @@ def test_charpoly_matches_sympy():
         cases.append(w @ IntMatrix.diagonal(diag) @ unimodular_inverse(w))
         # 60-bit entries
         cases.append(rand_matrix(rng, d, -(2**60), 2**60))
+    for d in range(1, 13):
+        cases += [rand_matrix(rng, d, -20, 20) for _ in range(2)]
+        # rank one: u v^T, with characteristic polynomial x^(d-1) (x - v.u)
+        u = [rng.randint(-5, 5) for _ in range(d)]
+        v = [rng.randint(-5, 5) for _ in range(d)]
+        cases.append(IntMatrix([[a * b for b in v] for a in u]))
+        assert charpoly(cases[-1]) == [1, -sum(a * b for a, b in zip(u, v))] + [0] * (d - 1)
+    for d in (3, 4):
+        for bits in (300, 1000):
+            cases.append(rand_matrix(rng, d, -(2**bits), 2**bits))
     for m in cases:
         want = sympy.Matrix([list(r) for r in m.rows]).charpoly(x).all_coeffs()
         assert charpoly(m) == [int(c) for c in want]
