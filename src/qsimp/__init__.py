@@ -45,8 +45,7 @@ _EXPORTS = {
     "finite_oracle": ("FiniteQuiver", "GapResult", "MinimalityReport",
                       "condition_L_finite", "density_1d", "gamma0_finite",
                       "minimal_finite", "verify_minimality_theorem"),
-    "intmat": ("IntMatrix", "SmithDecomposition", "adjugate", "det", "snf",
-               "unimodular_inverse"),
+    "intmat": ("IntMatrix", "SmithDecomposition", "det", "snf", "unimodular_inverse"),
     "lattice": ("IntegerSublattice", "RationalLattice", "dual_annihilator",
                 "dual_lattice", "from_rational_rows", "index", "join", "preimage",
                 "pushforward", "standard", "sublattice_index", "sublattice_transform"),

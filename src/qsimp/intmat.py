@@ -10,8 +10,8 @@ Two exact kernels serve everything but the normal forms: `det_adjugate`,
 a fraction-free Gauss-Jordan pass in O(d^3) operations, and `charpoly`,
 Berkowitz's division-free recurrence over the leading principal blocks,
 in matrix-vector products alone. `det` is fraction-free Bareiss
-elimination alone. The Gauss-Jordan pass stops at a singular matrix; only
-`adjugate` goes on, by Cayley-Hamilton over `charpoly`.
+elimination alone. The Gauss-Jordan pass stops at a singular matrix, and
+every caller rejects one.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def det_adjugate(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:
     for the permutation P of the row swaps, and the right half ends as
     det(P m) (P m)^-1 P, which is adj(m) times the sign of P. The pivot
     search runs out exactly when m is singular, and the pass stops there:
-    every caller but `adjugate` rejects a singular matrix.
+    every caller rejects a singular matrix.
     """
     d = len(m.rows)
     # each row of [I | m] with the m part reversed, so that column k of m is
@@ -262,15 +262,14 @@ def det_adjugate(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:
-    """The adj with m @ adj == det(m) * I, singular m included.
+    """adj(m) from `det_adjugate`; raises SingularMatrix for a singular m.
 
-    A nonsingular m takes `det_adjugate`'s pass. A singular one gets its
-    adjugate by Cayley-Hamilton: adj(m) = (-1)^(d-1) q(m) with
-    q(x) = (chi(x) - chi(0)) / x for chi = charpoly(m).
+    Nothing in the package calls it. It stays only because `bench/spans.py`
+    names it in `WRAPPED`, and goes with that file (ROADMAP item 3).
     """
     adj = det_adjugate(m)[1]
     if adj is None:
-        adj = evaluate([(-1) ** (len(m.rows) - 1) * c for c in charpoly(m)[:-1]], m)
+        raise SingularMatrix("adjugate needs det != 0")
     return adj
 
 

@@ -310,10 +310,9 @@ def _divexact(a: list[int], b: list[int]):
 
 
 def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd over Z by primitive pseudo-remainder sequences."""
+    """Primitive gcd over Z by primitive pseudo-remainder sequences, for a
+    nonzero b."""
     a = primitive(a)
-    if not any(b):
-        return a
     b = primitive(b)
     while len(b) > 1:
         r = list(a)

@@ -159,6 +159,38 @@ def test_text_render_blocks():
     assert "(4)" not in render(p_t, "text")
 
 
+def test_render_at_d2_pins_multi_indices_and_subscripted_unitaries():
+    p = present(IntMatrix.diagonal([2, 2]), IntMatrix([[3, 1], [1, 2]]))
+    relations = [
+        r"S_{(0,0)} = S",
+        r"S_{(0,1)} = U_{2}S",
+        r"S_{(1,0)} = U_{1}S",
+        r"S_{(1,1)} = U_{1}U_{2}S",
+        r"U_{1}^{2}S = SU_{1}^{3}U_{2}",
+        r"U_{2}^{2}S = SU_{1}U_{2}^{2}",
+    ]
+    assert render(p, "latex") == "\n".join([
+        r"\begin{align*}",
+        "% isometries indexed by 4 multi-indices; commuting unitaries with full spectrum",
+        r"S_\nu^* S_{\nu'} = \delta_{\nu,\nu'} \\",
+        *(line + r" \\" for line in relations),
+        r"\sum_{\nu} S_\nu S_\nu^* = 1 \\",
+        r"\end{align*}",
+    ])
+    assert render(p, "text") == "\n".join([
+        "dimension 2, diagonal [2, 2], 4 isometries, 2 unitaries"
+        " (commuting unitaries with full spectrum)",
+        "(1) orthogonality:",
+        r"    S_\nu^* S_{\nu'} = \delta_{\nu,\nu'}",
+        "(2) monomial:",
+        *("    " + line for line in relations[:4]),
+        "(3) intertwine:",
+        *("    " + line for line in relations[4:]),
+        "(4) cover:",
+        r"    \sum_{\nu} S_\nu S_\nu^* = 1",
+    ])
+
+
 def test_render_unknown_format():
     p = present(IntMatrix([[2]]), IntMatrix([[3]]))
     with pytest.raises(UnsupportedFormat):
